@@ -64,6 +64,12 @@ cargo build --examples
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo build --release"
     cargo build --release
+
+    # The benchmark (fallperf/, see BENCHMARK.json) is a package of its own
+    # outside the workspace, so the builds above never compile it; build it
+    # here so a library API change cannot break the benchmark unseen.
+    echo "==> cargo build --release --offline --manifest-path fallperf/Cargo.toml"
+    cargo build --release --offline --manifest-path fallperf/Cargo.toml
 fi
 
 echo "==> cargo test -q --workspace"

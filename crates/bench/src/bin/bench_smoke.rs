@@ -47,6 +47,7 @@ use fall::parallel::{parallel_partitioned_key_search, portfolio_sat_attack};
 use fall::sat_attack::{sat_attack, SatAttackConfig};
 use fall::session::AttackSession;
 use fall_bench::{HdPolicy, LockCase, MetricReport, Scale, TABLE1_CIRCUITS};
+use fall_serve::protocol::metrics_from_value;
 use locking::{LockingScheme, SfllHd, TtLock, XorLock};
 use netlist::cnf::KeyCone;
 use netlist::random::{generate, RandomCircuitSpec};
@@ -505,8 +506,8 @@ fn measure() -> MetricReport {
     // complement — so the completion/key-found/busy counters are exact and
     // baseline-gated; the end-to-end p50/p99 latencies land in the baseline
     // under the wall-clock 3x band (`_s` suffix).  The final `/metrics`
-    // scrape is parsed with `MetricReport::from_json`, which pins the wire
-    // format of the metrics surface to the report dialect.
+    // scrape is parsed with the same metric-dialect codec that reads the
+    // baseline, which pins the wire format of the metrics surface to it.
     {
         const CLIENTS: usize = 8;
         const JOBS_PER_CLIENT: usize = 4;
@@ -602,9 +603,11 @@ fn measure() -> MetricReport {
 
         control.send(&Value::object([("op", Value::from("metrics"))]));
         let scraped = control.recv();
-        let server_report =
-            MetricReport::from_json(&scraped.get("metrics").expect("metrics member").to_string())
-                .expect("serve /metrics must be MetricReport-compatible JSON");
+        let server_report: MetricReport =
+            metrics_from_value(scraped.get("metrics").expect("metrics member"))
+                .expect("serve /metrics must be in the metric dialect")
+                .into_iter()
+                .collect();
         let sample = |name: &str| {
             server_report
                 .metrics
@@ -843,13 +846,13 @@ fn main() -> ExitCode {
     // Wall-clock metrics get a wider band than deterministic counters.
     let mut counters = MetricReport::new();
     let mut timings = MetricReport::new();
-    for (name, metric) in &baseline.metrics {
-        let target = if is_wall_clock(name) {
+    for metric in baseline.metrics.into_values() {
+        let target = if is_wall_clock(&metric.name) {
             &mut timings
         } else {
             &mut counters
         };
-        target.metrics.insert(name.clone(), *metric);
+        target.insert(metric);
     }
     let mut regressions = report.regressions_against(&counters, options.tolerance);
     regressions.extend(report.regressions_against(&timings, options.tolerance * 3.0));

@@ -6,7 +6,10 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
+use fall::service::MetricSample;
+use fall_serve::protocol::{metrics_from_value, metrics_to_value};
 use netlist::strash::strash;
+use netshim::Value;
 
 use crate::runner::{AttackKind, AttackRecord};
 use crate::suite::{CircuitSpec, HdPolicy, LockCase, Scale};
@@ -180,25 +183,14 @@ pub fn format_fig6(rows: &[Fig6Row]) -> String {
     out
 }
 
-/// One tracked benchmark metric.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Metric {
-    /// The measured value.
-    pub value: f64,
-    /// Direction of goodness: `true` if larger values are better (speedups,
-    /// cache-hit counts), `false` if smaller values are better (times,
-    /// query counts).
-    pub higher_is_better: bool,
-}
-
-/// A named set of benchmark metrics, serialisable to/from a small JSON
-/// dialect (flat object of `name -> {value, higher_is_better}`) so baselines
-/// can be checked into the repository and compared in CI without external
-/// dependencies.
+/// A named set of benchmark metrics, kept by name (sorted, so serialisation
+/// is deterministic) and serialisable in the metric dialect of
+/// [`fall_serve::protocol::metrics_to_value`] — one metric per line — so
+/// baselines can be checked into the repository, diffed, and compared in CI.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricReport {
-    /// Metrics by name (sorted, so serialisation is deterministic).
-    pub metrics: BTreeMap<String, Metric>,
+    /// Metrics by name; each entry's key is its sample's name.
+    pub metrics: BTreeMap<String, MetricSample>,
 }
 
 /// One metric that got worse than the baseline allows.
@@ -222,71 +214,39 @@ impl MetricReport {
 
     /// Records a metric (replacing any previous value of the same name).
     pub fn record(&mut self, name: impl Into<String>, value: f64, higher_is_better: bool) {
-        self.metrics.insert(
-            name.into(),
-            Metric {
-                value,
-                higher_is_better,
-            },
-        );
+        self.insert(MetricSample::new(name, value, higher_is_better));
     }
 
-    /// Serialises the report as pretty-printed JSON.
+    /// Records a sample (replacing any previous sample of the same name).
+    pub fn insert(&mut self, sample: MetricSample) {
+        self.metrics.insert(sample.name.clone(), sample);
+    }
+
+    /// Serialises the report as JSON, one metric per line.
     pub fn to_json(&self) -> String {
+        let dialect = metrics_to_value(self.metrics.values());
+        let entries = dialect
+            .as_object()
+            .expect("the metric dialect is an object");
         let mut out = String::from("{\n");
-        for (i, (name, metric)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 < self.metrics.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "  \"{}\": {{\"value\": {}, \"higher_is_better\": {}}}{comma}",
-                escape_json(name),
-                metric.value,
-                metric.higher_is_better
-            );
+        for (i, (name, entry)) in entries.iter().enumerate() {
+            let comma = if i + 1 < entries.len() { "," } else { "" };
+            let _ = writeln!(out, "  {}: {entry}{comma}", Value::from(name.as_str()));
         }
         out.push_str("}\n");
         out
     }
 
-    /// Parses a report serialised by [`MetricReport::to_json`].
+    /// Parses a report serialised by [`MetricReport::to_json`] (or any
+    /// document in the metric dialect, such as a serve `metrics` member).
     ///
     /// # Errors
     ///
-    /// Returns a description of the first syntax problem encountered.
+    /// Returns a description of the first syntax or dialect problem.
     pub fn from_json(text: &str) -> Result<MetricReport, String> {
-        let mut parser = JsonParser::new(text);
-        let mut report = MetricReport::new();
-        parser.expect('{')?;
-        if parser.peek_is('}') {
-            parser.expect('}')?;
-            return Ok(report);
-        }
-        loop {
-            let name = parser.string()?;
-            parser.expect(':')?;
-            parser.expect('{')?;
-            let mut value: Option<f64> = None;
-            let mut higher: Option<bool> = None;
-            loop {
-                let field = parser.string()?;
-                parser.expect(':')?;
-                match field.as_str() {
-                    "value" => value = Some(parser.number()?),
-                    "higher_is_better" => higher = Some(parser.boolean()?),
-                    other => return Err(format!("unknown metric field {other:?}")),
-                }
-                if !parser.comma_or('}')? {
-                    break;
-                }
-            }
-            let value = value.ok_or_else(|| format!("metric {name:?} lacks a value"))?;
-            report.record(name, value, higher.unwrap_or(false));
-            if !parser.comma_or('}')? {
-                break;
-            }
-        }
-        parser.end()?;
-        Ok(report)
+        Ok(metrics_from_value(&Value::parse(text)?)?
+            .into_iter()
+            .collect())
     }
 
     /// Compares this (current) report against a baseline.
@@ -339,118 +299,13 @@ impl MetricReport {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// A tiny recursive-descent scanner for the report JSON dialect.
-struct JsonParser<'t> {
-    rest: &'t str,
-}
-
-impl<'t> JsonParser<'t> {
-    fn new(text: &'t str) -> JsonParser<'t> {
-        JsonParser { rest: text }
-    }
-
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
-
-    fn peek_is(&mut self, c: char) -> bool {
-        self.skip_ws();
-        self.rest.starts_with(c)
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        match self.rest.strip_prefix(c) {
-            Some(rest) => {
-                self.rest = rest;
-                Ok(())
-            }
-            None => Err(format!("expected {c:?} at {:?}", self.context())),
+impl FromIterator<MetricSample> for MetricReport {
+    fn from_iter<I: IntoIterator<Item = MetricSample>>(samples: I) -> MetricReport {
+        let mut report = MetricReport::new();
+        for sample in samples {
+            report.insert(sample);
         }
-    }
-
-    /// The next few characters, for error messages (char-boundary safe).
-    fn context(&self) -> String {
-        self.rest.chars().take(20).collect()
-    }
-
-    /// Consumes either a comma (returning `true`) or the closing character
-    /// (returning `false`).
-    fn comma_or(&mut self, close: char) -> Result<bool, String> {
-        self.skip_ws();
-        if self.rest.starts_with(',') {
-            self.rest = &self.rest[1..];
-            Ok(true)
-        } else {
-            self.expect(close)?;
-            Ok(false)
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, escaped)) => out.push(escaped),
-                    None => break,
-                },
-                c => out.push(c),
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let end = self
-            .rest
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(self.rest.len());
-        let (token, rest) = self.rest.split_at(end);
-        let value: f64 = token
-            .parse()
-            .map_err(|_| format!("invalid number {token:?}"))?;
-        self.rest = rest;
-        Ok(value)
-    }
-
-    fn boolean(&mut self) -> Result<bool, String> {
-        self.skip_ws();
-        if let Some(rest) = self.rest.strip_prefix("true") {
-            self.rest = rest;
-            Ok(true)
-        } else if let Some(rest) = self.rest.strip_prefix("false") {
-            self.rest = rest;
-            Ok(false)
-        } else {
-            Err(format!("expected boolean at {:?}", self.context()))
-        }
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("trailing content {:?}", self.context()))
-        }
+        report
     }
 }
 
@@ -612,6 +467,29 @@ mod tests {
             MetricReport::from_json(&empty.to_json()).expect("empty"),
             empty
         );
+    }
+
+    #[test]
+    fn metric_names_with_escapes_round_trip_through_the_dialect() {
+        let name = "quote\" back\\slash\nnew\u{1}line";
+        let mut report = MetricReport::new();
+        report.record(name, 3.5, true);
+        report.record("plain", 7.0, false);
+
+        // Report file: to_json is valid JSON and parses back unchanged.
+        let json = report.to_json();
+        assert!(Value::parse(&json).is_ok(), "{json}");
+        assert_eq!(MetricReport::from_json(&json).expect("round trip"), report);
+
+        // Serve wire: a metrics frame parses back to the same report.
+        let samples: Vec<MetricSample> = report.metrics.values().cloned().collect();
+        let frame = fall_serve::protocol::metrics_frame(Some(1), &samples);
+        let scraped = Value::parse(&frame).expect("frame is valid JSON");
+        let parsed: MetricReport = metrics_from_value(scraped.get("metrics").expect("metrics"))
+            .expect("dialect")
+            .into_iter()
+            .collect();
+        assert_eq!(parsed, report);
     }
 
     #[test]

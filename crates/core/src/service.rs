@@ -339,18 +339,34 @@ pub struct TargetInfo {
     pub workers: usize,
 }
 
-/// One named point (counter or gauge) of the service's `/metrics` surface,
-/// in the dialect of `fall-bench`'s `MetricReport`: a flat name, a numeric
-/// value and an orientation flag.
-#[derive(Clone, Debug)]
+/// One named metric point (counter or gauge): a flat name, a numeric value
+/// and an orientation flag.
+///
+/// This is the one metric entry type of the workspace: the service's
+/// `/metrics` surface, the flight recorder's histogram samples, the
+/// `fall-dist` farm surface and `fall-bench`'s `MetricReport` all carry it,
+/// and `fall_serve::protocol::{metrics_to_value, metrics_from_value}` is its
+/// one JSON codec.
+#[derive(Clone, Debug, PartialEq)]
 pub struct MetricSample {
     /// Flat metric name (e.g. `serve_jobs_completed`).
     pub name: String,
     /// Current value.
     pub value: f64,
-    /// Whether larger values are better (only true for cache hit rates
-    /// here; counts and latencies are informational or lower-is-better).
+    /// Whether larger values are better (cache hit rates, speedups); counts
+    /// and latencies are informational or lower-is-better.
     pub higher_is_better: bool,
+}
+
+impl MetricSample {
+    /// A sample named `name`.
+    pub fn new(name: impl Into<String>, value: f64, higher_is_better: bool) -> MetricSample {
+        MetricSample {
+            name: name.into(),
+            value,
+            higher_is_better,
+        }
+    }
 }
 
 /// Cancellation reasons, recorded in each job's reason cell before its token
@@ -771,80 +787,22 @@ impl AttackService {
     /// aggregated [`SolverStats`] of every pool session, and the
     /// word-parallel prefilter counters from FALL jobs.
     pub fn metrics(&self) -> Vec<MetricSample> {
-        let mut samples = Vec::new();
-        let mut push = |name: &str, value: f64, higher_is_better: bool| {
-            samples.push(MetricSample {
-                name: name.to_string(),
-                value,
-                higher_is_better,
-            });
-        };
         let counters = &self.shared.counters;
-        push(
-            "serve_jobs_submitted",
-            counters.jobs_submitted.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_completed",
-            counters.jobs_completed.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_key_found",
-            counters.jobs_key_found.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_no_key",
-            counters.jobs_no_key.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_busy",
-            counters.jobs_busy.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_timeout",
-            counters.jobs_timeout.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_cancelled",
-            counters.jobs_cancelled.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_failed",
-            counters.jobs_failed.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_sat",
-            counters.jobs_sat.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_fall",
-            counters.jobs_fall.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_confirm",
-            counters.jobs_confirm.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_sessions_created",
-            counters.sessions_created.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_uptime_s",
-            self.shared.started.elapsed().as_secs_f64(),
-            false,
-        );
+        let counted = [
+            ("serve_jobs_submitted", &counters.jobs_submitted),
+            ("serve_jobs_completed", &counters.jobs_completed),
+            ("serve_jobs_key_found", &counters.jobs_key_found),
+            ("serve_jobs_no_key", &counters.jobs_no_key),
+            ("serve_jobs_busy", &counters.jobs_busy),
+            ("serve_jobs_timeout", &counters.jobs_timeout),
+            ("serve_jobs_cancelled", &counters.jobs_cancelled),
+            ("serve_jobs_failed", &counters.jobs_failed),
+            ("serve_jobs_sat", &counters.jobs_sat),
+            ("serve_jobs_fall", &counters.jobs_fall),
+            ("serve_jobs_confirm", &counters.jobs_confirm),
+            ("serve_sessions_created", &counters.sessions_created),
+        ]
+        .map(|(name, counter)| (name, counter.load(Ordering::Relaxed) as f64));
 
         let targets: Vec<Arc<Target>> = self
             .targets
@@ -853,63 +811,72 @@ impl AttackService {
             .values()
             .cloned()
             .collect();
-        push("serve_targets", targets.len() as f64, false);
         let queue_depth: usize = targets
             .iter()
             .map(|t| t.queue.lock().expect("queue lock").queued)
             .sum();
-        push("serve_queue_depth", queue_depth as f64, false);
-        push(
-            "serve_active_jobs",
-            self.shared.active.lock().expect("active lock").len() as f64,
-            false,
-        );
-
+        let active = self.shared.active.lock().expect("active lock").len();
         let (hits, unique): (usize, usize) = targets
             .iter()
             .map(|t| (t.oracle.hits(), t.oracle.unique_queries()))
             .fold((0, 0), |(h, u), (th, tu)| (h + th, u + tu));
-        push("oracle_cache_hits", hits as f64, false);
-        push("oracle_unique_queries", unique as f64, false);
         let rate = if hits + unique > 0 {
             hits as f64 / (hits + unique) as f64
         } else {
             0.0
         };
-        push("oracle_cache_hit_rate", rate, true);
-
         let latencies = self.shared.latencies.lock().expect("latency lock");
         let (p50, p99) = percentiles(latencies.samples());
         let retained = latencies.samples().len();
         drop(latencies);
-        push("serve_latency_p50_s", p50, false);
-        push("serve_latency_p99_s", p99, false);
-        push("serve_latency_samples", retained as f64, false);
-
         let mut pool = SolverStats::default();
         for stats in self.shared.worker_stats.lock().expect("stats lock").iter() {
             pool.absorb(stats);
         }
-        // Driven by the canonical field table, so a counter added to
-        // `SolverStats` shows up here (and in the drift-guard test) without
-        // touching this function.
-        for (field, value) in pool.fields() {
-            push(&solver_metric_name(field), value as f64, false);
-        }
+        let prefilter = *self.shared.prefilter.lock().expect("prefilter lock");
+        let uptime = self.shared.started.elapsed().as_secs_f64();
 
-        let prefilter = self.shared.prefilter.lock().expect("prefilter lock");
-        push(
-            "prefilter_refuted",
-            (prefilter.polarities_refuted + prefilter.candidates_refuted) as f64,
-            false,
-        );
-        push(
-            "prefilter_patterns_simulated",
-            prefilter.patterns_simulated as f64,
-            false,
-        );
-        samples.extend(crate::trace::metric_samples());
-        samples
+        let lower_is_better = |(name, value): (&str, f64)| MetricSample::new(name, value, false);
+        counted
+            .into_iter()
+            .chain([
+                ("serve_uptime_s", uptime),
+                ("serve_targets", targets.len() as f64),
+                ("serve_queue_depth", queue_depth as f64),
+                ("serve_active_jobs", active as f64),
+                ("oracle_cache_hits", hits as f64),
+                ("oracle_unique_queries", unique as f64),
+            ])
+            .map(lower_is_better)
+            .chain([MetricSample::new("oracle_cache_hit_rate", rate, true)])
+            .chain(
+                [
+                    ("serve_latency_p50_s", p50),
+                    ("serve_latency_p99_s", p99),
+                    ("serve_latency_samples", retained as f64),
+                ]
+                .map(lower_is_better),
+            )
+            // Driven by the canonical field table, so a counter added to
+            // `SolverStats` shows up here (and in the drift-guard test)
+            // without touching this function.
+            .chain(
+                pool.fields().map(|(field, value)| {
+                    lower_is_better((&solver_metric_name(field), value as f64))
+                }),
+            )
+            .chain(
+                [
+                    ("prefilter_refuted", prefilter.total_refuted() as f64),
+                    (
+                        "prefilter_patterns_simulated",
+                        prefilter.patterns_simulated as f64,
+                    ),
+                ]
+                .map(lower_is_better),
+            )
+            .chain(crate::trace::metric_samples())
+            .collect()
     }
 
     /// Shuts the pool down: rejects new work, reports every queued job as
@@ -1381,6 +1348,29 @@ mod tests {
             assert!(
                 names.contains(&expected),
                 "SolverStats field {field:?} missing from /metrics (expected {expected:?})"
+            );
+        }
+        // `fallperf`'s serve_mix reads these by name and falls back to 0.0
+        // when one is missing, so a rename would silently zero a per-layer
+        // reading instead of failing.
+        for expected in [
+            "sat_solves",
+            "sat_conflicts",
+            "sat_propagations",
+            "sat_decisions",
+            "sat_reductions",
+            "gc_runs",
+            "sat_vars_eliminated",
+            "arena_bytes",
+            "prefilter_refuted",
+            "prefilter_patterns_simulated",
+            "oracle_unique_queries",
+            "oracle_cache_hits",
+            "serve_sessions_created",
+        ] {
+            assert!(
+                names.iter().any(|name| name == expected),
+                "{expected:?} (read by the benchmark) missing from /metrics"
             );
         }
         service.shutdown();

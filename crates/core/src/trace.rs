@@ -323,27 +323,25 @@ pub fn phase_count(name: &str) -> u64 {
 /// `trace_events_dropped`.
 pub fn metric_samples() -> Vec<MetricSample> {
     let mut samples = Vec::new();
-    let mut push = |name: String, value: f64| {
-        samples.push(MetricSample {
-            name,
-            value,
-            higher_is_better: false,
-        });
-    };
     for (name, histogram) in histograms() {
-        push(format!("trace_{name}_spans"), histogram.count as f64);
-        push(format!("trace_{name}_total_us"), histogram.total_us as f64);
-        push(
-            format!("trace_{name}_p50_us"),
-            histogram.quantile_upper_us(0.50) as f64,
+        samples.extend(
+            [
+                ("spans", histogram.count),
+                ("total_us", histogram.total_us),
+                ("p50_us", histogram.quantile_upper_us(0.50)),
+                ("p99_us", histogram.quantile_upper_us(0.99)),
+                ("max_us", histogram.max_us),
+            ]
+            .map(|(stat, value)| {
+                MetricSample::new(format!("trace_{name}_{stat}"), value as f64, false)
+            }),
         );
-        push(
-            format!("trace_{name}_p99_us"),
-            histogram.quantile_upper_us(0.99) as f64,
-        );
-        push(format!("trace_{name}_max_us"), histogram.max_us as f64);
     }
-    push("trace_events_dropped".to_string(), events_dropped() as f64);
+    samples.push(MetricSample::new(
+        "trace_events_dropped",
+        events_dropped() as f64,
+        false,
+    ));
     samples
 }
 
@@ -508,16 +506,8 @@ mod tests {
     #[test]
     fn prometheus_rendering() {
         let samples = vec![
-            MetricSample {
-                name: "serve_jobs_completed".to_string(),
-                value: 32.0,
-                higher_is_better: false,
-            },
-            MetricSample {
-                name: "oracle_cache_hit_rate".to_string(),
-                value: 0.41,
-                higher_is_better: true,
-            },
+            MetricSample::new("serve_jobs_completed", 32.0, false),
+            MetricSample::new("oracle_cache_hit_rate", 0.41, true),
         ];
         let text = prometheus_text(&samples);
         assert!(text.contains("# TYPE serve_jobs_completed gauge\nserve_jobs_completed 32\n"));

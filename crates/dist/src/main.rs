@@ -78,14 +78,7 @@ fn result_json(result: &FarmResult) -> String {
         ("stats_reports", Value::from(result.stats_reports)),
         (
             "solver_stats",
-            Value::object(
-                result
-                    .solver_stats
-                    .fields()
-                    .iter()
-                    .map(|&(name, value)| (name.to_string(), Value::from(value)))
-                    .collect::<Vec<_>>(),
-            ),
+            fall_dist::protocol::stats_to_value(&result.solver_stats),
         ),
         (
             "elapsed_ms",

@@ -21,9 +21,10 @@ pub const PROTOCOL_VERSION: u64 = 2;
 /// Cumulative worker telemetry piggybacked on `complete` frames.
 ///
 /// Snapshots are **cumulative over the worker's lifetime**, not per-region
-/// deltas: the supervisor keeps the latest snapshot per worker and sums
-/// across workers, which makes absorption idempotent (a resent frame
-/// replaces, never double-counts) and exact for gauge-like fields.
+/// deltas: the supervisor keeps the latest snapshot per worker and folds
+/// them with [`SolverStats::absorb`], which makes absorption idempotent (a
+/// resent frame replaces, never double-counts) and exact for gauge-like
+/// fields.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerTelemetry {
     /// Cumulative [`SolverStats`] of the worker's long-lived session.
@@ -35,18 +36,15 @@ pub struct WorkerTelemetry {
 }
 
 impl WorkerTelemetry {
-    /// Encodes as the wire `stats` object: one member per
-    /// [`SolverStats::fields`] entry plus the two oracle counters.
+    /// Encodes as the wire `stats` object: [`stats_to_value`]'s members
+    /// plus the two oracle counters.
     pub fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = self
-            .solver
-            .fields()
-            .iter()
-            .map(|&(name, value)| (name.to_string(), Value::from(value)))
-            .collect();
-        fields.push(("oracle_hits".to_string(), Value::from(self.oracle_hits)));
-        fields.push(("oracle_unique".to_string(), Value::from(self.oracle_unique)));
-        Value::object(fields)
+        let mut value = stats_to_value(&self.solver);
+        if let Value::Object(members) = &mut value {
+            members.insert("oracle_hits".to_string(), Value::from(self.oracle_hits));
+            members.insert("oracle_unique".to_string(), Value::from(self.oracle_unique));
+        }
+        value
     }
 
     /// Decodes the wire `stats` object.  Unknown members are ignored (a
@@ -75,6 +73,16 @@ impl WorkerTelemetry {
         }
         Ok(telemetry)
     }
+}
+
+/// Encodes [`SolverStats`] as a JSON object with one member per
+/// [`SolverStats::fields`] entry.
+pub fn stats_to_value(stats: &SolverStats) -> Value {
+    Value::object(
+        stats
+            .fields()
+            .map(|(name, value)| (name, Value::from(value))),
+    )
 }
 
 /// Renders a bit vector as the wire bitstring (`"0101"`, character `i` =

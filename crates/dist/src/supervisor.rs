@@ -71,8 +71,9 @@ pub struct FarmResult {
     pub workers: usize,
     /// Workers that died owing work (crash, kill, or timeout mid-lease).
     pub workers_crashed: usize,
-    /// Farm-wide [`SolverStats`] aggregate: the field-wise sum of the latest
-    /// cumulative telemetry snapshot of every worker that reported one.
+    /// Farm-wide [`SolverStats`] aggregate: the latest cumulative telemetry
+    /// snapshot of every worker that reported one, folded with
+    /// [`SolverStats::absorb`] (counters sum, the LBD EMAs take the max).
     pub solver_stats: SolverStats,
     /// The latest telemetry snapshot per worker (`None` for a worker that
     /// never completed a region, e.g. one that crashed on its first lease or
@@ -86,38 +87,38 @@ pub struct FarmResult {
 
 impl FarmResult {
     /// Renders the end-of-run counters as the `dist_*` metric surface (the
-    /// same dialect as `AttackService::metrics`), including the farm-wide
-    /// aggregated worker [`SolverStats`] as `dist_sat_<field>` — ready for
-    /// [`fall::trace::prometheus_text`] or a `MetricReport`.
+    /// same [`MetricSample`]s as `AttackService::metrics`), including the
+    /// farm-wide aggregated worker [`SolverStats`] as `dist_sat_<field>` —
+    /// ready for [`fall::trace::prometheus_text`] or a `MetricReport`.
     pub fn metric_samples(&self) -> Vec<MetricSample> {
-        let mut samples = Vec::new();
-        let mut push = |name: String, value: f64| {
-            samples.push(MetricSample {
-                name,
-                value,
-                higher_is_better: false,
-            });
-        };
-        push("dist_workers".into(), self.workers as f64);
-        push("dist_workers_crashed".into(), self.workers_crashed as f64);
-        push("dist_regions_total".into(), self.regions as f64);
-        push(
-            "dist_regions_completed".into(),
-            self.regions_completed as f64,
-        );
-        push("dist_regions_requeued".into(), self.regions_requeued as f64);
-        push("dist_regions_stolen".into(), self.regions_stolen as f64);
-        push("dist_iterations".into(), self.iterations as f64);
-        push(
-            "dist_unique_oracle_queries".into(),
-            self.unique_oracle_queries as f64,
-        );
-        push("dist_stats_reports".into(), self.stats_reports as f64);
-        push("dist_elapsed_s".into(), self.elapsed.as_secs_f64());
-        for (field, value) in self.solver_stats.fields() {
-            push(format!("dist_sat_{field}"), value as f64);
-        }
-        samples
+        self.samples_with(&[("dist_elapsed_s", self.elapsed.as_secs_f64())])
+    }
+
+    /// The farm-wide `dist_*` counters, then `extra`, then the aggregated
+    /// solver stats as `dist_sat_<field>`: the block the end-of-run and the
+    /// live ([`Supervisor::status`]) surfaces share.
+    fn samples_with(&self, extra: &[(&str, f64)]) -> Vec<MetricSample> {
+        [
+            ("dist_workers", self.workers as f64),
+            ("dist_workers_crashed", self.workers_crashed as f64),
+            ("dist_regions_total", self.regions as f64),
+            ("dist_regions_completed", self.regions_completed as f64),
+            ("dist_regions_requeued", self.regions_requeued as f64),
+            ("dist_regions_stolen", self.regions_stolen as f64),
+            ("dist_iterations", self.iterations as f64),
+            (
+                "dist_unique_oracle_queries",
+                self.unique_oracle_queries as f64,
+            ),
+            ("dist_stats_reports", self.stats_reports as f64),
+        ]
+        .iter()
+        .chain(extra)
+        .map(|&(name, value)| MetricSample::new(name, value, false))
+        .chain(self.solver_stats.fields().map(|(field, value)| {
+            MetricSample::new(format!("dist_sat_{field}"), value as f64, false)
+        }))
+        .collect()
     }
 }
 
@@ -137,7 +138,7 @@ struct State {
     workers_crashed: usize,
     /// Latest cumulative telemetry per worker.  Replacement, not addition:
     /// snapshots are cumulative, so absorbing a frame is idempotent and the
-    /// farm aggregate is exactly the sum of the latest snapshots.
+    /// farm aggregate is exactly the `absorb` fold of the latest snapshots.
     telemetry: Vec<Option<WorkerTelemetry>>,
     /// `complete` frames that carried telemetry.
     stats_reports: usize,
@@ -293,8 +294,17 @@ impl Supervisor {
             let _ = monitor.join();
         }
         let state = self.shared.state.lock().expect("farm state poisoned");
+        self.snapshot(&state)
+    }
+
+    /// The run's result as of now: final once every reader has joined.
+    fn snapshot(&self, state: &State) -> FarmResult {
         let completed = state.winner.is_some()
             || (!state.exhausted && state.cancelled_regions == 0 && state.board.done());
+        let mut solver_stats = SolverStats::default();
+        for snapshot in state.telemetry.iter().flatten() {
+            solver_stats.absorb(&snapshot.solver);
+        }
         FarmResult {
             key: state.winner.clone(),
             completed,
@@ -306,7 +316,7 @@ impl Supervisor {
             regions_stolen: state.board.stolen(),
             workers: self.workers,
             workers_crashed: state.workers_crashed,
-            solver_stats: aggregate_stats(&state.telemetry),
+            solver_stats,
             worker_telemetry: state.telemetry.clone(),
             stats_reports: state.stats_reports,
             elapsed: self.started.elapsed(),
@@ -317,89 +327,44 @@ impl Supervisor {
     /// supervisor-side analogue of `AttackService::metrics`.
     ///
     /// Farm-wide gauges (`dist_*`), the aggregated worker [`SolverStats`]
-    /// (`dist_sat_<field>`, summed over the latest cumulative snapshot of
+    /// (`dist_sat_<field>`, absorbed over the latest cumulative snapshot of
     /// each reporting worker), and per-worker lease/liveness/telemetry
     /// gauges (`dist_worker<i>_*`).
     pub fn status(&self) -> Vec<MetricSample> {
         let state = self.shared.state.lock().expect("farm state poisoned");
-        let mut samples = Vec::new();
-        let mut push = |name: String, value: f64| {
-            samples.push(MetricSample {
-                name,
-                value,
-                higher_is_better: false,
-            });
-        };
-        push("dist_workers".into(), self.workers as f64);
-        push(
-            "dist_workers_live".into(),
-            state.live.iter().filter(|&&l| l).count() as f64,
-        );
-        push("dist_workers_crashed".into(), state.workers_crashed as f64);
-        push(
-            "dist_workers_parked".into(),
-            state.parked.iter().filter(|&&p| p).count() as f64,
-        );
-        push("dist_regions_total".into(), self.regions as f64);
-        push(
-            "dist_regions_completed".into(),
-            state.board.completed() as f64,
-        );
-        push(
-            "dist_regions_requeued".into(),
-            state.board.requeued() as f64,
-        );
-        push("dist_regions_stolen".into(), state.board.stolen() as f64);
-        push("dist_iterations".into(), state.iterations as f64);
-        push(
-            "dist_unique_oracle_queries".into(),
-            state.pairs.unique() as f64,
-        );
-        push("dist_stats_reports".into(), state.stats_reports as f64);
-        push("dist_uptime_s".into(), self.started.elapsed().as_secs_f64());
-        for (field, value) in aggregate_stats(&state.telemetry).fields() {
-            push(format!("dist_sat_{field}"), value as f64);
-        }
+        let mut samples = self.snapshot(&state).samples_with(&[
+            (
+                "dist_workers_live",
+                state.live.iter().filter(|&&l| l).count() as f64,
+            ),
+            (
+                "dist_workers_parked",
+                state.parked.iter().filter(|&&p| p).count() as f64,
+            ),
+            ("dist_uptime_s", self.started.elapsed().as_secs_f64()),
+        ]);
         for (worker, telemetry) in state.telemetry.iter().enumerate() {
-            push(
-                format!("dist_worker{worker}_live"),
-                f64::from(u8::from(state.live[worker])),
-            );
-            push(
-                format!("dist_worker{worker}_leased"),
-                f64::from(u8::from(state.board.leased(worker).is_some())),
-            );
+            let mut gauges = vec![
+                ("live", f64::from(u8::from(state.live[worker]))),
+                (
+                    "leased",
+                    f64::from(u8::from(state.board.leased(worker).is_some())),
+                ),
+            ];
             if let Some(telemetry) = telemetry {
-                push(
-                    format!("dist_worker{worker}_conflicts"),
-                    telemetry.solver.conflicts as f64,
-                );
-                push(
-                    format!("dist_worker{worker}_solves"),
-                    telemetry.solver.solves as f64,
-                );
-                push(
-                    format!("dist_worker{worker}_oracle_unique"),
-                    telemetry.oracle_unique as f64,
-                );
-                push(
-                    format!("dist_worker{worker}_oracle_hits"),
-                    telemetry.oracle_hits as f64,
-                );
+                gauges.extend([
+                    ("conflicts", telemetry.solver.conflicts as f64),
+                    ("solves", telemetry.solver.solves as f64),
+                    ("oracle_unique", telemetry.oracle_unique as f64),
+                    ("oracle_hits", telemetry.oracle_hits as f64),
+                ]);
             }
+            samples.extend(gauges.into_iter().map(|(stat, value)| {
+                MetricSample::new(format!("dist_worker{worker}_{stat}"), value, false)
+            }));
         }
         samples
     }
-}
-
-/// The farm-wide aggregate: field-wise sum of the latest cumulative snapshot
-/// of every worker that reported telemetry.
-fn aggregate_stats(telemetry: &[Option<WorkerTelemetry>]) -> SolverStats {
-    let mut aggregate = SolverStats::default();
-    for snapshot in telemetry.iter().flatten() {
-        aggregate.absorb(&snapshot.solver);
-    }
-    aggregate
 }
 
 /// Sends one frame to `worker`, ignoring transport errors (a dead worker's

@@ -35,163 +35,118 @@ impl SolveResult {
     }
 }
 
-/// Counters describing the work performed by a solver instance.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SolverStats {
+/// Declares [`SolverStats`] from one table.  Each row is a field's doc
+/// comment, its name and its aggregation — `sum` or `max` — as applied by
+/// [`SolverStats::absorb`].  The struct, `absorb`, `fields` and `set_field`
+/// are all generated from the table, so they cannot drift apart.
+macro_rules! solver_stats {
+    ($($(#[$doc:meta])* $field:ident: $aggregation:ident,)*) => {
+        /// Counters describing the work performed by a solver instance.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct SolverStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        const STATS_FIELDS: usize = [$(stringify!($field)),*].len();
+
+        impl SolverStats {
+            /// Accumulates another snapshot into this one, field by field.
+            ///
+            /// This is how a pool of long-lived solver instances (one per
+            /// worker session) is reported as a single aggregate: monotone
+            /// counters sum into pool totals, and the point-in-time footprint
+            /// gauges (`learnt_clauses`, the `*_clauses` tiers, `arena_bytes`,
+            /// `wasted_bytes`) sum into the pool's current footprint.  The
+            /// LBD EMAs take the maximum: a sum of averages measures nothing.
+            pub fn absorb(&mut self, other: &SolverStats) {
+                $(solver_stats!(@$aggregation self.$field, other.$field);)*
+            }
+
+            /// The canonical `(name, value)` view of every field, in
+            /// declaration order.
+            ///
+            /// This is what everything that serialises or renders the
+            /// counters iterates — the `fall-dist` worker-telemetry wire
+            /// encoding, the `fall-serve` metric surface, and the drift-guard
+            /// tests — so no field can go missing from any of them.
+            pub fn fields(&self) -> [(&'static str, u64); STATS_FIELDS] {
+                [$((stringify!($field), self.$field)),*]
+            }
+
+            /// Sets one field by its [`SolverStats::fields`] name; the
+            /// decoding counterpart of `fields` for wire formats.  Returns
+            /// `false` when the name matches no field (the caller decides
+            /// whether unknown names are an error or forward-compatible
+            /// noise).
+            pub fn set_field(&mut self, name: &str, value: u64) -> bool {
+                match name {
+                    $(stringify!($field) => self.$field = value,)*
+                    _ => return false,
+                }
+                true
+            }
+        }
+    };
+    (@sum $into:expr, $from:expr) => {
+        $into += $from
+    };
+    (@max $into:expr, $from:expr) => {
+        $into = $into.max($from)
+    };
+}
+
+solver_stats! {
     /// Number of conflicts encountered.
-    pub conflicts: u64,
+    conflicts: sum,
     /// Number of decisions made.
-    pub decisions: u64,
+    decisions: sum,
     /// Number of literals propagated.
-    pub propagations: u64,
+    propagations: sum,
     /// Number of restarts performed (Luby and EMA-forced combined).
-    pub restarts: u64,
+    restarts: sum,
     /// Restarts taken because a Luby conflict budget ran out.
-    pub restarts_luby: u64,
+    restarts_luby: sum,
     /// Restarts forced by the fast/slow LBD EMA threshold
     /// ([`SolverConfig::restart_thr`]).
-    pub restarts_ema: u64,
+    restarts_ema: sum,
     /// EMA-forced restarts suppressed by trail-size blocking
     /// ([`SolverConfig::restart_blk`]).
-    pub restarts_blocked: u64,
+    restarts_blocked: sum,
     /// Learnt-database reduction rounds performed.
-    pub reductions: u64,
+    reductions: sum,
     /// Number of learnt clauses currently in the database.
-    pub learnt_clauses: u64,
+    learnt_clauses: sum,
     /// Learnt clauses currently in the CORE tier (glue; never deleted).
-    pub core_clauses: u64,
+    core_clauses: sum,
     /// Learnt clauses currently in the TIER2 tier (kept while used).
-    pub tier2_clauses: u64,
+    tier2_clauses: sum,
     /// Learnt clauses currently in the LOCAL tier (evictable).
-    pub local_clauses: u64,
+    local_clauses: sum,
     /// Variables removed by bounded variable elimination, cumulatively.
-    pub vars_eliminated: u64,
+    vars_eliminated: sum,
     /// Eliminated variables re-introduced because a later clause or
     /// assumption referenced them, cumulatively.
-    pub vars_resurrected: u64,
+    vars_resurrected: sum,
     /// Adaptive strategy switches performed (0 or 1 per solver: the
     /// classification after the warm-up budget is one-shot).
-    pub strategy_switches: u64,
+    strategy_switches: sum,
     /// Fast (recent-window) learnt-LBD EMA ×1000 at the last snapshot.
-    pub ema_lbd_fast_milli: u64,
+    ema_lbd_fast_milli: max,
     /// Slow (long-run) learnt-LBD EMA ×1000 at the last snapshot.
-    pub ema_lbd_slow_milli: u64,
+    ema_lbd_slow_milli: max,
     /// Number of `solve`/`solve_with` invocations.
-    pub solves: u64,
+    solves: sum,
     /// Current size of the clause arena in bytes (live + wasted).
-    pub arena_bytes: u64,
+    arena_bytes: sum,
     /// Bytes of the arena occupied by tombstoned (deleted) clauses, reclaimed
     /// by the next garbage collection.
-    pub wasted_bytes: u64,
+    wasted_bytes: sum,
     /// Garbage-collection passes performed ([`Solver::collect_garbage`]).
-    pub gc_runs: u64,
+    gc_runs: sum,
     /// Variables reclaimed into the free list ([`Solver::release_var`]); each
     /// is handed out again by a later [`Solver::new_var`] instead of growing
     /// the variable space.
-    pub recycled_vars: u64,
-}
-
-impl SolverStats {
-    /// Accumulates another snapshot into this one, field by field.
-    ///
-    /// This is how a pool of long-lived solver instances (one per worker
-    /// session) is reported as a single aggregate: monotone counters sum
-    /// into pool totals, and the point-in-time gauges (`learnt_clauses`,
-    /// `arena_bytes`, `wasted_bytes`) sum into the pool's current footprint.
-    pub fn absorb(&mut self, other: &SolverStats) {
-        self.conflicts += other.conflicts;
-        self.decisions += other.decisions;
-        self.propagations += other.propagations;
-        self.restarts += other.restarts;
-        self.restarts_luby += other.restarts_luby;
-        self.restarts_ema += other.restarts_ema;
-        self.restarts_blocked += other.restarts_blocked;
-        self.reductions += other.reductions;
-        self.learnt_clauses += other.learnt_clauses;
-        self.core_clauses += other.core_clauses;
-        self.tier2_clauses += other.tier2_clauses;
-        self.local_clauses += other.local_clauses;
-        self.vars_eliminated += other.vars_eliminated;
-        self.vars_resurrected += other.vars_resurrected;
-        self.strategy_switches += other.strategy_switches;
-        self.ema_lbd_fast_milli += other.ema_lbd_fast_milli;
-        self.ema_lbd_slow_milli += other.ema_lbd_slow_milli;
-        self.solves += other.solves;
-        self.arena_bytes += other.arena_bytes;
-        self.wasted_bytes += other.wasted_bytes;
-        self.gc_runs += other.gc_runs;
-        self.recycled_vars += other.recycled_vars;
-    }
-
-    /// The canonical `(name, value)` view of every field, in declaration
-    /// order.
-    ///
-    /// This is the single source of truth for everything that serialises or
-    /// renders the counters — the `fall-dist` worker-telemetry wire encoding,
-    /// the `fall-serve` metric surface, and the drift-guard tests — so a
-    /// field added to the struct without extending this list (the
-    /// `stats_fields_cover_the_struct` test below catches that) cannot
-    /// silently go missing from any of them.
-    pub fn fields(&self) -> [(&'static str, u64); 22] {
-        [
-            ("conflicts", self.conflicts),
-            ("decisions", self.decisions),
-            ("propagations", self.propagations),
-            ("restarts", self.restarts),
-            ("restarts_luby", self.restarts_luby),
-            ("restarts_ema", self.restarts_ema),
-            ("restarts_blocked", self.restarts_blocked),
-            ("reductions", self.reductions),
-            ("learnt_clauses", self.learnt_clauses),
-            ("core_clauses", self.core_clauses),
-            ("tier2_clauses", self.tier2_clauses),
-            ("local_clauses", self.local_clauses),
-            ("vars_eliminated", self.vars_eliminated),
-            ("vars_resurrected", self.vars_resurrected),
-            ("strategy_switches", self.strategy_switches),
-            ("ema_lbd_fast_milli", self.ema_lbd_fast_milli),
-            ("ema_lbd_slow_milli", self.ema_lbd_slow_milli),
-            ("solves", self.solves),
-            ("arena_bytes", self.arena_bytes),
-            ("wasted_bytes", self.wasted_bytes),
-            ("gc_runs", self.gc_runs),
-            ("recycled_vars", self.recycled_vars),
-        ]
-    }
-
-    /// Sets one field by its [`SolverStats::fields`] name; the decoding
-    /// counterpart of `fields` for wire formats.  Returns `false` when the
-    /// name matches no field (the caller decides whether unknown names are
-    /// an error or forward-compatible noise).
-    pub fn set_field(&mut self, name: &str, value: u64) -> bool {
-        let slot = match name {
-            "conflicts" => &mut self.conflicts,
-            "decisions" => &mut self.decisions,
-            "propagations" => &mut self.propagations,
-            "restarts" => &mut self.restarts,
-            "restarts_luby" => &mut self.restarts_luby,
-            "restarts_ema" => &mut self.restarts_ema,
-            "restarts_blocked" => &mut self.restarts_blocked,
-            "reductions" => &mut self.reductions,
-            "learnt_clauses" => &mut self.learnt_clauses,
-            "core_clauses" => &mut self.core_clauses,
-            "tier2_clauses" => &mut self.tier2_clauses,
-            "local_clauses" => &mut self.local_clauses,
-            "vars_eliminated" => &mut self.vars_eliminated,
-            "vars_resurrected" => &mut self.vars_resurrected,
-            "strategy_switches" => &mut self.strategy_switches,
-            "ema_lbd_fast_milli" => &mut self.ema_lbd_fast_milli,
-            "ema_lbd_slow_milli" => &mut self.ema_lbd_slow_milli,
-            "solves" => &mut self.solves,
-            "arena_bytes" => &mut self.arena_bytes,
-            "wasted_bytes" => &mut self.wasted_bytes,
-            "gc_runs" => &mut self.gc_runs,
-            "recycled_vars" => &mut self.recycled_vars,
-            _ => return false,
-        };
-        *slot = value;
-        true
-    }
+    recycled_vars: sum,
 }
 
 /// Tunable search parameters of a [`Solver`].
@@ -2117,6 +2072,33 @@ mod tests {
             assert_eq!(*value, (i + 1) as u64, "{name}");
         }
         assert!(!stats.set_field("no_such_field", 1));
+    }
+
+    /// Pool aggregation sums counters and footprint gauges, but an EMA of
+    /// several sessions is their maximum, never their sum.
+    #[test]
+    fn absorb_sums_counters_and_takes_the_max_of_the_emas() {
+        let a = SolverStats {
+            conflicts: 10,
+            arena_bytes: 400,
+            ema_lbd_fast_milli: 3_000,
+            ema_lbd_slow_milli: 5_000,
+            ..SolverStats::default()
+        };
+        let b = SolverStats {
+            conflicts: 7,
+            arena_bytes: 100,
+            ema_lbd_fast_milli: 4_500,
+            ema_lbd_slow_milli: 2_000,
+            ..SolverStats::default()
+        };
+        let mut pool = SolverStats::default();
+        pool.absorb(&a);
+        pool.absorb(&b);
+        assert_eq!(pool.conflicts, 17);
+        assert_eq!(pool.arena_bytes, 500);
+        assert_eq!(pool.ema_lbd_fast_milli, 4_500);
+        assert_eq!(pool.ema_lbd_slow_milli, 5_000);
     }
 
     /// The checkpoint hook observes GC and reduction phases without changing

@@ -4,9 +4,10 @@
 //! primed attack sessions keyed by registered target — with a line-delimited
 //! JSON protocol over TCP (specified in `docs/PROTOCOL.md`).  Clients
 //! register `(netlist, scheme)` targets, submit SAT / FALL / confirmation
-//! jobs against them, and scrape a `/metrics`-style counter surface whose
-//! JSON dialect is the `MetricReport` format used by `fall-bench`, so the
-//! same offline tooling parses both.
+//! jobs against them, and scrape a `/metrics`-style counter surface in the
+//! metric dialect of [`protocol::metrics_to_value`] — the one codec
+//! `fall-bench`'s `MetricReport` files also use, so the same offline tooling
+//! parses both.
 //!
 //! The transport is deliberately plain `std::net`: blocking sockets, one
 //! reader and one writer thread per connection (see

@@ -226,23 +226,67 @@ pub fn job_event_frame(id: RequestId, report: &JobReport) -> String {
     frame(fields)
 }
 
-/// The `metrics` response.  The `metrics` member is exactly the JSON dialect
-/// of `fall-bench`'s `MetricReport`, so offline tooling can parse it
-/// directly.
+/// Renders samples in the metric dialect every metric surface shares — the
+/// serve `metrics` response and `fall-bench`'s `MetricReport` files: a flat
+/// object of `name -> {"value": f64, "higher_is_better": bool}`.
+pub fn metrics_to_value<'s>(samples: impl IntoIterator<Item = &'s MetricSample>) -> Value {
+    Value::object(samples.into_iter().map(|sample| {
+        (
+            sample.name.clone(),
+            Value::object([
+                ("value", Value::from(sample.value)),
+                ("higher_is_better", Value::from(sample.higher_is_better)),
+            ]),
+        )
+    }))
+}
+
+/// Parses the metric dialect of [`metrics_to_value`].  `higher_is_better`
+/// may be omitted and defaults to `false`, the conservative orientation (a
+/// metric that grows can regress, never one that shrinks).
+///
+/// # Errors
+///
+/// Names the offending metric when the document is not an object of
+/// objects, a `value` is missing or not a number, `higher_is_better` is not
+/// a boolean, or an entry has any other member.
+pub fn metrics_from_value(value: &Value) -> Result<Vec<MetricSample>, String> {
+    let entries = value.as_object().ok_or("metrics must be a JSON object")?;
+    entries
+        .iter()
+        .map(|(name, entry)| {
+            let members = entry
+                .as_object()
+                .ok_or_else(|| format!("metric {name:?} must be an object"))?;
+            let mut value = None;
+            let mut higher_is_better = false;
+            for (field, member) in members {
+                match field.as_str() {
+                    "value" => {
+                        value =
+                            Some(member.as_f64().ok_or_else(|| {
+                                format!("metric {name:?}: invalid number {member}")
+                            })?);
+                    }
+                    "higher_is_better" => {
+                        higher_is_better = member.as_bool().ok_or_else(|| {
+                            format!("metric {name:?}: expected boolean, got {member}")
+                        })?;
+                    }
+                    other => return Err(format!("metric {name:?}: unknown field {other:?}")),
+                }
+            }
+            let value = value.ok_or_else(|| format!("metric {name:?} lacks a value"))?;
+            Ok(MetricSample::new(name.clone(), value, higher_is_better))
+        })
+        .collect()
+}
+
+/// The `metrics` response: the samples in the metric dialect of
+/// [`metrics_to_value`] under the `metrics` member.
 pub fn metrics_frame(id: RequestId, samples: &[MetricSample]) -> String {
     let mut fields = base(true, id);
-    fields.push((
-        "metrics".to_string(),
-        Value::object(samples.iter().map(|sample| {
-            (
-                sample.name.clone(),
-                Value::object([
-                    ("value", Value::from(sample.value)),
-                    ("higher_is_better", Value::from(sample.higher_is_better)),
-                ]),
-            )
-        })),
-    ));
+    fields.push(("metrics".to_string(), metrics_to_value(samples)));
     frame(fields)
 }
 

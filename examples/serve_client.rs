@@ -168,8 +168,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 4. Scrape /metrics. ---------------------------------------------
-    // The metrics frame uses the same JSON dialect as the bench harness's
-    // MetricReport: name -> {"value": f64, "higher_is_better": bool}.
+    // The metrics frame is in the metric dialect of
+    // fall_serve::protocol::metrics_to_value (also the bench harness's
+    // MetricReport files): name -> {"value": f64, "higher_is_better": bool}.
     client.send(&Value::object([
         ("op", Value::from("metrics")),
         ("id", Value::from(4u64)),
