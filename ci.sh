@@ -70,6 +70,23 @@ if [ "$quick" -eq 0 ]; then
     # here so a library API change cannot break the benchmark unseen.
     echo "==> cargo build --release --offline --manifest-path fallperf/Cargo.toml"
     cargo build --release --offline --manifest-path fallperf/Cargo.toml
+
+    # The benchmark's own self-checks on a short traced fall_grid run:
+    # same-seed rebuilds, exact counters on a re-run, validated keys, and a
+    # stage-by-stage traced run that must agree with `fall_attack`.  The
+    # result line is the last line of stdout and must report
+    # `"correct": true`.
+    echo "==> fallperf --workload fall_grid --seed 1 --seconds 1 --trace 1"
+    fallperf_result=$(cargo run --release --offline --quiet \
+        --manifest-path fallperf/Cargo.toml -- \
+        --workload fall_grid --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    case "$fallperf_result" in
+        *'"correct": true'*) ;;
+        *)
+            echo "fallperf fall_grid self-check failed: $fallperf_result" >&2
+            exit 1
+            ;;
+    esac
 fi
 
 echo "==> cargo test -q --workspace"
@@ -102,7 +119,7 @@ cargo test -q -p sat --lib
 
 # The wide-simulation correctness story: the W-word blocked engine must match
 # the scalar reference bit for bit for W in {1,2,4,8}, and the batched oracle
-# transport / parallel analyses must leave the attack trajectory untouched.
+# transport must leave the attack trajectory untouched.
 # Also part of the workspace run; re-run explicitly so a failure is
 # attributed to the wide-sim machinery.
 echo "==> cargo test -q --test wide_sim"
@@ -120,7 +137,8 @@ cargo test -q -p fall-dist --test farm
 # structurally valid Chrome trace document (parsed back through netshim:
 # complete events only, non-negative timestamps, per-thread spans properly
 # nested) whose span counts match the attack's own iteration/query counters,
-# and a disabled recorder must record nothing. Also part of the workspace
+# an armed oracle-less FALL attack must record its cone solves as "solve"
+# spans, and a disabled recorder must record nothing. Also part of the workspace
 # run; re-run explicitly so a failure is attributed to the tracing layer.
 echo "==> cargo test -q -p fall-bench --test trace_validate"
 cargo test -q -p fall-bench --test trace_validate

@@ -1,5 +1,5 @@
 //! Benchmarks of the structural analyses (§ III), including the
-//! simulation-vs-SAT comparator-identification ablation from DESIGN.md.
+//! simulation-vs-SAT comparator-identification ablation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fall::structural::{find_candidates, find_comparators, find_comparators_sat};

@@ -52,7 +52,7 @@ fn main() {
             records.push(record);
         }
     }
-    println!("SECTION VI-B headline numbers (scaled suite, see EXPERIMENTS.md)");
+    println!("SECTION VI-B headline numbers (scaled suite)");
     println!("{}", format_headline(&headline(&records)));
 }
 

@@ -26,6 +26,6 @@ fn main() {
         scale
     );
     let rows = table1_rows(specs, scale);
-    println!("TABLE I: Benchmark circuits (substituted, see DESIGN.md)");
+    println!("TABLE I: Benchmark circuits (substituted, see netlist::random)");
     println!("{}", format_table1(&rows));
 }

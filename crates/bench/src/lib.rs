@@ -17,7 +17,7 @@
 //!
 //! The ISCAS'85/MCNC netlists used by the paper are not redistributable, so
 //! the suite substitutes seeded random circuits with the same interface sizes
-//! (see `DESIGN.md` for the substitution argument).  By default all binaries
+//! (see [`netlist::random`] for the substitution argument).  By default all binaries
 //! run a *scaled* configuration sized for a laptop; pass `--full` for the
 //! paper-sized circuits and key widths.
 

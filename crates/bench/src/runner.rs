@@ -1,13 +1,18 @@
 //! Timed attack execution.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
-use fall::attack::{fall_attack, FallAttackConfig, FallStatus};
+use fall::attack::{fall_attack, FallAttackConfig, FallAttackResult, FallStatus};
 use fall::functional::Analysis;
 use fall::key_confirmation::KeyConfirmationConfig;
 use fall::oracle::SimOracle;
 use fall::sat_attack::{sat_attack, SatAttackConfig};
 use fall::Oracle;
+use netlist::Netlist;
 
 use crate::suite::LockCase;
 
@@ -102,7 +107,7 @@ impl Runner {
         let start = Instant::now();
         let mut config = FallAttackConfig::for_h(case.h);
         config.analyses = Some(vec![analysis]);
-        let result = fall_attack(&case.locked.locked, None, &config);
+        let result = self.fall_attack_within_limit(&case.locked.locked, config);
         let elapsed = start.elapsed();
 
         let validated = result.shortlisted_keys.iter().any(|key| {
@@ -160,10 +165,9 @@ impl Runner {
     /// nothing, matching the paper's § VI-C methodology of reusing stage-1
     /// results).
     pub fn run_key_confirmation(&self, case: &LockCase) -> AttackRecord {
-        let mut config = FallAttackConfig::for_h(case.h);
-        config.analyses = None;
         let shortlist = {
-            let result = fall_attack(&case.locked.locked, None, &config);
+            let config = FallAttackConfig::for_h(case.h);
+            let result = self.fall_attack_within_limit(&case.locked.locked, config);
             if result.shortlisted_keys.is_empty() {
                 vec![case.locked.key.clone(), case.locked.key.complement()]
             } else {
@@ -203,7 +207,7 @@ impl Runner {
     pub fn run_combined_fall(&self, case: &LockCase) -> AttackRecord {
         let start = Instant::now();
         let config = FallAttackConfig::for_h(case.h);
-        let result = fall_attack(&case.locked.locked, None, &config);
+        let result = self.fall_attack_within_limit(&case.locked.locked, config);
         let elapsed = start.elapsed();
         let validated = result.shortlisted_keys.iter().any(|key| {
             case.locked
@@ -219,6 +223,29 @@ impl Runner {
             shortlisted: result.shortlisted_keys.len(),
             elapsed,
         }
+    }
+
+    /// Runs the oracle-less FALL attack with `config.interrupt` armed to fire
+    /// once the configured time limit has elapsed.
+    fn fall_attack_within_limit(
+        &self,
+        locked: &Netlist,
+        mut config: FallAttackConfig,
+    ) -> FallAttackResult {
+        let interrupt = Arc::new(AtomicBool::new(false));
+        config.interrupt = Some(Arc::clone(&interrupt));
+        let limit = self.config.time_limit;
+        let (finished, finished_rx) = mpsc::channel::<()>();
+        thread::scope(|scope| {
+            scope.spawn(move || {
+                if finished_rx.recv_timeout(limit) == Err(RecvTimeoutError::Timeout) {
+                    interrupt.store(true, Ordering::Relaxed);
+                }
+            });
+            let result = fall_attack(locked, None, &config);
+            drop(finished);
+            result
+        })
     }
 
     /// Verifies an attack record's oracle, exposed for tests.
@@ -257,6 +284,29 @@ mod tests {
         let record = Runner::default().run_key_confirmation(&case);
         assert_eq!(record.attack, AttackKind::KeyConfirmation);
         assert!(record.shortlisted >= 1);
+    }
+
+    #[test]
+    fn time_limit_bounds_paper_scale_fall_runs() {
+        // Paper-scale c432 at h = m/8 = 4 runs for tens of seconds unbounded.
+        let c432 = TABLE1_CIRCUITS
+            .iter()
+            .find(|spec| spec.name == "c432")
+            .expect("c432 is in Table I");
+        let case = LockCase::build(c432, HdPolicy::EighthOfKeys, Scale::Paper);
+        assert_eq!(case.h, 4);
+        let runner = Runner::new(RunnerConfig {
+            time_limit: Duration::from_millis(200),
+            validation_samples: 32,
+        });
+        let start = Instant::now();
+        let record = runner.run_combined_fall(&case);
+        let returned = start.elapsed();
+        assert!(!record.defeated, "{record:?}");
+        assert!(
+            returned < Duration::from_secs(1),
+            "returned after {returned:?}"
+        );
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Structural validation of the flight recorder's Chrome trace export: a
-//! small SAT attack runs with tracing armed, and the resulting document must
-//! be valid JSON in the trace-event dialect Perfetto loads — complete (`X`)
-//! events with non-negative timestamps, and per-thread spans that nest
-//! properly.  This is the trace half of the CI observability gate (`ci.sh`
-//! runs this test explicitly); the metric half is bench_smoke's baseline.
+//! small SAT attack and a small oracle-less FALL attack run with tracing
+//! armed, and each resulting document must be valid JSON in the trace-event
+//! dialect Perfetto loads — complete (`X`) events with non-negative
+//! timestamps, and per-thread spans that nest properly.  This is the trace
+//! half of the CI observability gate (`ci.sh` runs this test explicitly); the
+//! metric half is bench_smoke's baseline.
 //!
 //! Tracing state is process-global, so this lives in its own integration
 //! test binary: no other test can enable the recorder or record spans while
@@ -11,10 +12,11 @@
 
 use std::collections::BTreeMap;
 
+use fall::attack::{fall_attack, FallAttackConfig};
 use fall::oracle::SimOracle;
 use fall::sat_attack::{sat_attack, SatAttackConfig};
 use fall::trace;
-use locking::{LockingScheme, XorLock};
+use locking::{LockingScheme, TtLock, XorLock};
 use netlist::random::{generate, RandomCircuitSpec};
 use netshim::Value;
 
@@ -41,6 +43,43 @@ fn chrome_trace_export_is_structurally_valid() {
     assert!(result.is_success(), "attack under tracing succeeds");
     assert_eq!(trace::events_dropped(), 0, "ring must not overflow");
 
+    let by_tid = exported_spans();
+    // The attack's phase structure survives the export: one span per DIP
+    // round plus the final UNSAT round, one per oracle query, and the
+    // solver's "solve" spans are all present.
+    let count = |wanted: &str| {
+        by_tid
+            .values()
+            .flatten()
+            .filter(|(_, _, name)| name == wanted)
+            .count()
+    };
+    assert_eq!(count("dip_iteration"), result.iterations + 1);
+    assert_eq!(count("oracle_query"), result.oracle_queries);
+    assert!(count("solve") > 0);
+    assert_nested(by_tid);
+
+    // The FALL attack's functional analyses and equivalence checks solve
+    // through the session's cone queries, which carry "solve" spans too.
+    let original = generate(&RandomCircuitSpec::new("trace_fall", 14, 3, 90));
+    let locked = TtLock::new(8)
+        .with_seed(12)
+        .lock(&original)
+        .expect("lock")
+        .optimized();
+    trace::reset();
+    trace::set_enabled(true);
+    let result = fall_attack(&locked.locked, None, &FallAttackConfig::for_h(0));
+    trace::set_enabled(false);
+    assert_eq!(result.best_key(), Some(&locked.key), "{result:?}");
+    assert!(trace::phase_count("solve") > 0, "cone solves are traced");
+    assert_eq!(trace::events_dropped(), 0, "ring must not overflow");
+    assert_nested(exported_spans());
+}
+
+/// Parses the recorder's Chrome trace export and returns its spans as
+/// `(ts, dur, name)` per thread id, checking each event's shape on the way.
+fn exported_spans() -> BTreeMap<u64, Vec<(u64, u64, String)>> {
     let json = trace::chrome_trace_json();
     let document = Value::parse(&json).expect("trace is valid JSON");
     assert_eq!(
@@ -82,20 +121,11 @@ fn chrome_trace_export_is_structurally_valid() {
             .push((ts, dur, name.to_string()));
     }
 
-    // The attack's phase structure survives the export: one span per DIP
-    // round plus the final UNSAT round, one per oracle query, and the
-    // solver's "solve" spans are all present.
-    let count = |wanted: &str| {
-        by_tid
-            .values()
-            .flatten()
-            .filter(|(_, _, name)| name == wanted)
-            .count()
-    };
-    assert_eq!(count("dip_iteration"), result.iterations + 1);
-    assert_eq!(count("oracle_query"), result.oracle_queries);
-    assert!(count("solve") > 0);
+    by_tid
+}
 
+/// Asserts that per-thread spans nest.
+fn assert_nested(mut by_tid: BTreeMap<u64, Vec<(u64, u64, String)>>) {
     // Per-thread spans must nest: sorted by start (ties: longest first),
     // each span either starts after the enclosing one ended or lies inside
     // it.  Checkpoint events are backdated from durations the solver

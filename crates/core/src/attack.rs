@@ -3,8 +3,7 @@
 //! `comparator identification → support-set matching → functional analyses →
 //! equivalence checking → (optional) key confirmation`.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use locking::Key;
@@ -17,9 +16,8 @@ use crate::functional::{
 };
 use crate::key_confirmation::{key_confirmation_in, KeyConfirmationConfig};
 use crate::oracle::Oracle;
-use crate::parallel::CancelToken;
 use crate::session::AttackSession;
-use crate::structural::{find_candidates, find_comparators, find_comparators_sat, CandidateNodes};
+use crate::structural::{find_candidates, find_comparators, CandidateNodes};
 
 /// Configuration of the FALL attack.
 #[derive(Clone, Debug)]
@@ -33,25 +31,10 @@ pub struct FallAttackConfig {
     /// Verify suspected cubes with combinational equivalence checking
     /// (§ IV-C).  Disabling this is only useful for ablation studies.
     pub equivalence_check: bool,
-    /// Use the SAT-based comparator classifier instead of cofactor
-    /// enumeration (ablation of § III-A).
-    pub sat_comparators: bool,
-    /// Worker threads for the per-candidate functional analyses and
-    /// equivalence checks (stages 3 + 4).  `1` (the default) runs the
-    /// (candidate × analysis) task list serially through one shared session;
-    /// larger values fan the same tasks across per-worker sessions and merge
-    /// the results in serial task order, so the shortlist is identical.
-    pub analysis_workers: usize,
-    /// Cancel the remaining analysis tasks as soon as one key survives the
-    /// equivalence check (first-winner semantics via [`CancelToken`]).  The
-    /// surviving key is always one the full sweep would also have
-    /// shortlisted, but the shortlist may be a strict subset of it, so this
-    /// defaults to `false`.
-    pub stop_after_first_key: bool,
     /// Budgets for the optional key-confirmation stage.
     pub confirmation: KeyConfirmationConfig,
-    /// External cancellation flag, installed into every [`AttackSession`] the
-    /// attack creates (see [`crate::session::AttackSession::set_interrupt`]).
+    /// External cancellation flag, installed into the attack's
+    /// [`AttackSession`] (see [`crate::session::AttackSession::set_interrupt`]).
     /// Once it flips to `true`, in-flight solves return at their next check
     /// point, the remaining analysis tasks are skipped, and the attack
     /// returns with whatever it had (typically [`FallStatus::NoKeysFound`] or
@@ -67,9 +50,6 @@ impl FallAttackConfig {
             h,
             analyses: None,
             equivalence_check: true,
-            sat_comparators: false,
-            analysis_workers: 1,
-            stop_after_first_key: false,
             confirmation: KeyConfirmationConfig::default(),
             interrupt: None,
         }
@@ -150,12 +130,10 @@ pub struct FallAttackResult {
     pub key_width: usize,
     /// Which analyses produced at least one surviving key.
     pub analyses_used: Vec<Analysis>,
-    /// Word-parallel prefilter counters summed over every analysis session
-    /// (refuted polarities/candidates and simulated-pattern volume).
+    /// Word-parallel prefilter counters of the functional analyses (refuted
+    /// polarities/candidates and simulated-pattern volume).
     pub prefilter: PrefilterStats,
-    /// Per-stage wall-clock timings.  With `analysis_workers > 1` the
-    /// `functional` and `equivalence` entries are summed across workers, so
-    /// they measure aggregate CPU time rather than elapsed time.
+    /// Per-stage wall-clock timings.
     pub timings: StageTimings,
 }
 
@@ -185,11 +163,7 @@ pub fn fall_attack(
 
     // Stage 1: comparator identification.
     let t = Instant::now();
-    let comparators = if config.sat_comparators {
-        find_comparators_sat(locked)
-    } else {
-        find_comparators(locked)
-    };
+    let comparators = find_comparators(locked);
     timings.comparators = t.elapsed();
 
     // Stage 2: support-set matching.
@@ -227,132 +201,42 @@ pub fn fall_attack(
         .analyses
         .clone()
         .unwrap_or_else(|| Analysis::applicable(config.h, candidates.key_width()));
-    // The (candidate × analysis) task list, in the order the serial sweep
-    // visits it.  The parallel runner merges per-task results back in this
-    // order, so both paths shortlist identical keys in identical order.
-    let tasks: Vec<(NodeId, Analysis)> = candidates
-        .candidates
-        .iter()
-        .flat_map(|&c| analyses.iter().map(move |&a| (c, a)))
-        .collect();
     let mut shortlisted: Vec<Key> = Vec::new();
     let mut analyses_used: Vec<Analysis> = Vec::new();
-    let mut prefilter = PrefilterStats::default();
-
-    let workers = config.analysis_workers.min(tasks.len()).max(1);
-    let mut survivors: Vec<Option<(Key, Analysis)>> = Vec::new();
-    if workers <= 1 {
-        let mut functional_time = Duration::ZERO;
-        let mut equivalence_time = Duration::ZERO;
-        for &(candidate, analysis) in &tasks {
+    'sweep: for &candidate in &candidates.candidates {
+        for &analysis in &analyses {
             if externally_interrupted(config) {
-                break;
+                break 'sweep;
             }
-            let outcome = run_task(
-                &mut session,
-                locked,
-                &candidates,
-                candidate,
-                analysis,
-                config,
-                &mut functional_time,
-                &mut equivalence_time,
-            );
-            let found = outcome.is_some();
-            survivors.push(outcome);
-            if found && config.stop_after_first_key {
-                break;
+            let t = Instant::now();
+            let cube = run_analysis(&mut session, candidate, analysis, config.h);
+            timings.functional += t.elapsed();
+            let Some(cube) = cube else { continue };
+            if config.equivalence_check {
+                let t = Instant::now();
+                let equivalent =
+                    candidate_equals_strip_in(&mut session, candidate, &cube, config.h);
+                timings.equivalence += t.elapsed();
+                if !equivalent {
+                    continue;
+                }
             }
-        }
-        timings.functional = functional_time;
-        timings.equivalence = equivalence_time;
-        prefilter.merge(&session.prefilter_stats());
-    } else {
-        let next = AtomicUsize::new(0);
-        let cancel = CancelToken::new();
-        let slots: Mutex<Vec<Option<(Key, Analysis)>>> = Mutex::new(vec![None; tasks.len()]);
-        let functional_nanos = AtomicU64::new(0);
-        let equivalence_nanos = AtomicU64::new(0);
-        let merged = Mutex::new(PrefilterStats::default());
-        let live_workers = AtomicUsize::new(workers);
-        std::thread::scope(|scope| {
-            if let Some(flag) = config.interrupt.clone() {
-                // Bridge the external interrupt into the pool's shared token
-                // so a deadline stops workers mid-solve, not merely between
-                // tasks.  The watcher exits as soon as the pool drains or the
-                // token fires for any reason (e.g. first-winner mode).
-                let cancel = cancel.clone();
-                let live_workers = &live_workers;
-                scope.spawn(move || {
-                    while live_workers.load(Ordering::Relaxed) > 0 && !cancel.is_cancelled() {
-                        if flag.load(Ordering::Relaxed) {
-                            cancel.cancel();
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                });
+            let Some(key) = cube_to_key(locked, &candidates, &cube) else {
+                continue;
+            };
+            if !shortlisted.contains(&key) {
+                shortlisted.push(key);
             }
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut session = AttackSession::new(locked);
-                    session.set_interrupt(Some(cancel.as_flag()));
-                    loop {
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(candidate, analysis)) = tasks.get(index) else {
-                            break;
-                        };
-                        let mut functional_time = Duration::ZERO;
-                        let mut equivalence_time = Duration::ZERO;
-                        let outcome = run_task(
-                            &mut session,
-                            locked,
-                            &candidates,
-                            candidate,
-                            analysis,
-                            config,
-                            &mut functional_time,
-                            &mut equivalence_time,
-                        );
-                        functional_nanos
-                            .fetch_add(functional_time.as_nanos() as u64, Ordering::Relaxed);
-                        equivalence_nanos
-                            .fetch_add(equivalence_time.as_nanos() as u64, Ordering::Relaxed);
-                        if let Some(outcome) = outcome {
-                            slots.lock().expect("slots lock")[index] = Some(outcome);
-                            if config.stop_after_first_key {
-                                cancel.cancel();
-                            }
-                        }
-                    }
-                    let stats = session.prefilter_stats();
-                    merged.lock().expect("stats lock").merge(&stats);
-                    live_workers.fetch_sub(1, Ordering::Relaxed);
-                });
+            if !analyses_used.contains(&analysis) {
+                analyses_used.push(analysis);
             }
-        });
-        timings.functional = Duration::from_nanos(functional_nanos.into_inner());
-        timings.equivalence = Duration::from_nanos(equivalence_nanos.into_inner());
-        prefilter = merged.into_inner().expect("stats lock");
-        survivors = slots.into_inner().expect("slots lock");
-    }
-
-    for (key, analysis) in survivors.into_iter().flatten() {
-        if !shortlisted.contains(&key) {
-            shortlisted.push(key);
-        }
-        if !analyses_used.contains(&analysis) {
-            analyses_used.push(analysis);
         }
     }
 
     let mut result = base(FallStatus::NoKeysFound, timings);
     result.analyses_used = analyses_used;
     result.shortlisted_keys = shortlisted;
-    result.prefilter = prefilter;
+    result.prefilter = session.prefilter_stats();
 
     match result.shortlisted_keys.len() {
         0 => result,
@@ -408,35 +292,6 @@ fn run_analysis(
         Analysis::SlidingWindow => sliding_window_in(session, candidate, h),
         Analysis::Distance2H => distance_2h_in(session, candidate, h),
     }
-}
-
-/// One (candidate × analysis) task of stages 3 + 4: runs the analysis, then
-/// the optional equivalence check, and maps a surviving cube to a key.
-/// Shared by the serial sweep and the parallel workers.
-#[allow(clippy::too_many_arguments)]
-fn run_task(
-    session: &mut AttackSession<'_>,
-    locked: &Netlist,
-    candidates: &CandidateNodes,
-    candidate: NodeId,
-    analysis: Analysis,
-    config: &FallAttackConfig,
-    functional_time: &mut Duration,
-    equivalence_time: &mut Duration,
-) -> Option<(Key, Analysis)> {
-    let t = Instant::now();
-    let cube = run_analysis(session, candidate, analysis, config.h);
-    *functional_time += t.elapsed();
-    let cube = cube?;
-    if config.equivalence_check {
-        let t = Instant::now();
-        let equivalent = candidate_equals_strip_in(session, candidate, &cube, config.h);
-        *equivalence_time += t.elapsed();
-        if !equivalent {
-            return None;
-        }
-    }
-    cube_to_key(locked, candidates, &cube).map(|key| (key, analysis))
 }
 
 /// Maps a cube assignment over protected inputs to a key over the locked
@@ -558,62 +413,6 @@ mod tests {
             "{result:?}"
         );
         assert!(result.shortlisted_keys.is_empty());
-    }
-
-    #[test]
-    fn sat_comparator_ablation_agrees() {
-        let original = original("fa_ablation");
-        let locked = TtLock::new(8)
-            .with_seed(12)
-            .lock(&original)
-            .expect("lock")
-            .optimized();
-        let mut config = FallAttackConfig::for_h(0);
-        config.sat_comparators = true;
-        let result = fall_attack(&locked.locked, None, &config);
-        assert_eq!(result.status, FallStatus::UniqueKey);
-        assert_eq!(result.best_key(), Some(&locked.key));
-    }
-
-    #[test]
-    fn parallel_analyses_match_the_serial_sweep() {
-        let original = original("fa_par");
-        let locked = SfllHd::new(10, 1)
-            .with_seed(8)
-            .lock(&original)
-            .expect("lock")
-            .optimized();
-        let serial = fall_attack(&locked.locked, None, &FallAttackConfig::for_h(1));
-        assert!(serial.prefilter.patterns_simulated > 0);
-        for workers in [2usize, 4] {
-            let mut config = FallAttackConfig::for_h(1);
-            config.analysis_workers = workers;
-            let parallel = fall_attack(&locked.locked, None, &config);
-            assert_eq!(parallel.status, serial.status, "workers {workers}");
-            assert_eq!(parallel.shortlisted_keys, serial.shortlisted_keys);
-            assert_eq!(parallel.analyses_used, serial.analyses_used);
-            assert_eq!(parallel.prefilter, serial.prefilter);
-        }
-    }
-
-    #[test]
-    fn stop_after_first_key_still_finds_a_shortlisted_key() {
-        let original = original("fa_first");
-        let locked = TtLock::new(10)
-            .with_seed(31)
-            .lock(&original)
-            .expect("lock")
-            .optimized();
-        let full = fall_attack(&locked.locked, None, &FallAttackConfig::for_h(0));
-        let mut config = FallAttackConfig::for_h(0);
-        config.analysis_workers = 2;
-        config.stop_after_first_key = true;
-        let result = fall_attack(&locked.locked, None, &config);
-        assert!(result.status.is_success(), "{result:?}");
-        assert!(result
-            .shortlisted_keys
-            .iter()
-            .all(|k| full.shortlisted_keys.contains(k)));
     }
 
     #[test]

@@ -48,8 +48,8 @@ pub struct PrefilterStats {
 }
 
 impl PrefilterStats {
-    /// Accumulates `other` into `self` (used when merging per-worker
-    /// sessions of the parallel analysis stage).
+    /// Accumulates `other` into `self` (used when summing the counters of
+    /// several attacks).
     pub fn merge(&mut self, other: &PrefilterStats) {
         self.polarities_refuted += other.polarities_refuted;
         self.candidates_refuted += other.candidates_refuted;

@@ -828,6 +828,7 @@ impl<'n> AttackSession<'n> {
     /// query.  All shared structure (cones, difference vector, popcount) is
     /// reused; the query itself adds no clauses.
     pub fn check_cone_property(&mut self, assumptions: &[Lit]) -> SolveResult {
+        let _span = crate::trace::span("solve");
         self.solver.solve_with(assumptions)
     }
 

@@ -218,29 +218,3 @@ fn screened_confirmation_matches_plain_and_ships_word_blocks() {
         );
     }
 }
-
-/// Fanning the functional analyses across workers must not change the
-/// shortlist, the analyses used, or the prefilter counters.
-#[test]
-fn parallel_analyses_are_a_drop_in_for_the_serial_sweep() {
-    let original = generate(&RandomCircuitSpec::new("ws_par", 14, 3, 90));
-    let locked = SfllHd::new(10, 1)
-        .with_seed(6)
-        .lock(&original)
-        .expect("lock")
-        .optimized();
-    let serial = fall_attack(&locked.locked, None, &FallAttackConfig::for_h(1));
-    assert!(
-        serial.prefilter.patterns_simulated > 0,
-        "analyses exercise the wide prefilters"
-    );
-    for workers in [2usize, 3, 4] {
-        let mut config = FallAttackConfig::for_h(1);
-        config.analysis_workers = workers;
-        let parallel = fall_attack(&locked.locked, None, &config);
-        assert_eq!(parallel.status, serial.status, "workers {workers}");
-        assert_eq!(parallel.shortlisted_keys, serial.shortlisted_keys);
-        assert_eq!(parallel.analyses_used, serial.analyses_used);
-        assert_eq!(parallel.prefilter, serial.prefilter);
-    }
-}
