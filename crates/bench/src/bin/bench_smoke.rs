@@ -24,8 +24,9 @@
 //!   `*_arena_bytes`/`*_gc_runs`/`*_recycled_vars` from the single-threaded
 //!   workloads, including the 100-generation long-lived-session run, the
 //!   flight-recorder span counts `trace_*` from the traced single SAT
-//!   attack, and the farm telemetry-report count
-//!   `dist_worker_stats_reports`) — gated at the tolerance (default 20 %);
+//!   attack, the farm telemetry-report count `dist_worker_stats_reports`,
+//!   and the solves and conflicts `sliding_window_*` of SlidingWindow on a
+//!   4h > m lock) — gated at the tolerance (default 20 %);
 //!   any `*_s`/`*speedup*` metric that does land in a baseline gets a 3x
 //!   band;
 //! * `info_*` metrics (absolute seconds, single-shot speedup ratios,
@@ -38,7 +39,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use fall::attack::{fall_attack, FallAttackConfig};
-use fall::functional::PrefilterStats;
+use fall::functional::{sliding_window_in, PrefilterStats};
 use fall::key_confirmation::{
     key_confirmation, key_confirmation_in, partitioned_key_search, KeyConfirmationConfig,
 };
@@ -46,6 +47,7 @@ use fall::oracle::{CountingOracle, SimOracle};
 use fall::parallel::{parallel_partitioned_key_search, portfolio_sat_attack};
 use fall::sat_attack::{sat_attack, SatAttackConfig};
 use fall::session::AttackSession;
+use fall::structural::{find_candidates, find_comparators};
 use fall_bench::{HdPolicy, LockCase, MetricReport, Scale, TABLE1_CIRCUITS};
 use fall_serve::protocol::metrics_from_value;
 use locking::{LockingScheme, SfllHd, TtLock, XorLock};
@@ -413,6 +415,30 @@ fn measure() -> MetricReport {
         prefilter.patterns_simulated as f64,
         false,
     );
+
+    // ---- SlidingWindow on a 4h > m lock ------------------------------------
+    // The only analysis the paper has for SFLL-HDh with 4h > m.  Deterministic
+    // solve and conflict counts of driving it over every structural candidate
+    // of one m = 12, h = 4 lock through one session.
+    let sw_h = 4;
+    let sw_locked = SfllHd::new(12, sw_h)
+        .with_seed(8)
+        .lock(&wp_original)
+        .expect("lock")
+        .optimized();
+    let sw_candidates = find_candidates(&sw_locked.locked, &find_comparators(&sw_locked.locked));
+    let mut sw_session = AttackSession::new(&sw_locked.locked);
+    let t = Instant::now();
+    let sw_cubes = sw_candidates
+        .candidates
+        .iter()
+        .filter(|&&candidate| sliding_window_in(&mut sw_session, candidate, sw_h).is_some())
+        .count();
+    report.record("info_sliding_window_s", t.elapsed().as_secs_f64(), false);
+    assert!(sw_cubes >= 1, "SlidingWindow must recover the h = 4 cube");
+    let sw_stats = sw_session.stats();
+    report.record("sliding_window_solves", sw_stats.solves as f64, false);
+    report.record("sliding_window_conflicts", sw_stats.conflicts as f64, false);
 
     // Word-batched oracle traffic: a screened key confirmation over a
     // two-key shortlist ships its 256 probe patterns as one 4-word

@@ -11,8 +11,8 @@ use netlist::{Netlist, NodeId};
 
 use crate::equivalence::candidate_equals_strip_in;
 use crate::functional::{
-    analyze_unateness_in, distance_2h_in, sliding_window_in, Analysis, CubeAssignment,
-    PrefilterStats,
+    analyze_unateness_in, distance_2h_in, sliding_window_in, sliding_window_witnessed_in, Analysis,
+    CubeAssignment, PrefilterStats,
 };
 use crate::key_confirmation::{key_confirmation_in, KeyConfirmationConfig};
 use crate::oracle::Oracle;
@@ -30,6 +30,9 @@ pub struct FallAttackConfig {
     pub analyses: Option<Vec<Analysis>>,
     /// Verify suspected cubes with combinational equivalence checking
     /// (§ IV-C).  Disabling this is only useful for ablation studies.
+    /// SlidingWindow's cube is certified by an equivalence check either way:
+    /// this one when the flag is set, otherwise the one
+    /// [`crate::functional::sliding_window_in`] runs itself.
     pub equivalence_check: bool,
     /// Budgets for the optional key-confirmation stage.
     pub confirmation: KeyConfirmationConfig,
@@ -93,9 +96,13 @@ pub struct StageTimings {
     pub comparators: Duration,
     /// Support-set matching (§ III-B).
     pub support_matching: Duration,
-    /// Functional analyses (§ IV-A, § IV-B).
+    /// Functional analyses (§ IV-A, § IV-B), including the equivalence
+    /// check SlidingWindow runs internally to certify its cube when
+    /// [`FallAttackConfig::equivalence_check`] is off.
     pub functional: Duration,
-    /// Equivalence checking (§ IV-C).
+    /// Equivalence checking (§ IV-C) of the suspected cubes; with
+    /// [`FallAttackConfig::equivalence_check`] on, this is also
+    /// SlidingWindow's certificate.
     pub equivalence: Duration,
     /// Key confirmation (§ V).
     pub confirmation: Duration,
@@ -209,7 +216,7 @@ pub fn fall_attack(
                 break 'sweep;
             }
             let t = Instant::now();
-            let cube = run_analysis(&mut session, candidate, analysis, config.h);
+            let cube = run_analysis(&mut session, candidate, analysis, config);
             timings.functional += t.elapsed();
             let Some(cube) = cube else { continue };
             if config.equivalence_check {
@@ -285,10 +292,15 @@ fn run_analysis(
     session: &mut AttackSession<'_>,
     candidate: NodeId,
     analysis: Analysis,
-    h: usize,
+    config: &FallAttackConfig,
 ) -> Option<CubeAssignment> {
+    let h = config.h;
     match analysis {
         Analysis::Unateness => analyze_unateness_in(session, candidate),
+        // The equivalence check that follows is SlidingWindow's certificate.
+        Analysis::SlidingWindow if config.equivalence_check => {
+            sliding_window_witnessed_in(session, candidate, h)
+        }
         Analysis::SlidingWindow => sliding_window_in(session, candidate, h),
         Analysis::Distance2H => distance_2h_in(session, candidate, h),
     }

@@ -18,7 +18,9 @@ pub use constraints::{
 };
 pub use distance_2h::{distance_2h, distance_2h_all, distance_2h_in};
 pub use prefilter::PrefilterStats;
-pub use sliding_window::{sliding_window, sliding_window_all, sliding_window_in};
+pub use sliding_window::{
+    sliding_window, sliding_window_all, sliding_window_in, sliding_window_witnessed_in,
+};
 pub use unateness::{analyze_unateness, analyze_unateness_in};
 
 use netlist::NodeId;

@@ -484,7 +484,10 @@ mod tests {
                 record_duration("flood", Duration::ZERO);
             }
             assert_eq!(phase_count("flood"), (RING_CAPACITY + 10) as u64);
-            assert!(events().len() <= RING_CAPACITY);
+            // `events()` also gathers the rings of concurrently running
+            // tests; bound only this thread's flood.
+            let flood = events().iter().filter(|e| e.name == "flood").count();
+            assert!(flood <= RING_CAPACITY, "{flood} flood events");
             assert!(events_dropped() >= 10);
         });
     }
