@@ -87,6 +87,22 @@ if [ "$quick" -eq 0 ]; then
             exit 1
             ;;
     esac
+
+    # The paper binaries are the only home of the Table I and Fig. 5/6
+    # measurements: run each on a trimmed grid, then check that a
+    # misspelled flag is refused (exit status 2) rather than ignored.
+    echo "==> paper binaries: table1, summary, fig5, fig6 (trimmed)"
+    cargo run --release -q -p fall-bench --bin table1 -- --circuits 2
+    cargo run --release -q -p fall-bench --bin summary -- --circuits 1 --timeout 1
+    cargo run --release -q -p fall-bench --bin fig5 -- --circuits 1 --timeout 1
+    cargo run --release -q -p fall-bench --bin fig6 -- --circuits 1 --timeout 1
+    bad_flag_status=0
+    cargo run --release -q -p fall-bench --bin fig6 -- --timout 1 2>/dev/null ||
+        bad_flag_status=$?
+    if [ "$bad_flag_status" -ne 2 ]; then
+        echo "fig6 --timout 1 exited $bad_flag_status, expected 2 (unknown flag)" >&2
+        exit 1
+    fi
 fi
 
 echo "==> cargo test -q --workspace"

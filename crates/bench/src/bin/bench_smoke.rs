@@ -32,8 +32,8 @@
 //! * `info_*` metrics (absolute seconds, single-shot speedup ratios,
 //!   scheduler-dependent counts) — reported for humans and uploaded as a CI
 //!   artifact, but excluded from the baseline: neither absolute timings nor
-//!   one-shot ratios are comparable across machines or runs.  Use the
-//!   `parallel_speedup` criterion bench for real scaling measurements.
+//!   one-shot ratios are comparable across machines or runs.  Real scaling
+//!   is measured by the `fallperf` benchmark's `dip_search` workload.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -163,17 +163,10 @@ fn measure() -> MetricReport {
             // Single-threaded, so the solver's memory counters are
             // deterministic too: the arena footprint after draining every
             // region, and how much the GC + variable recycling reclaimed.
-            report.record(
-                "parallel_1w_arena_bytes",
-                parallel.peak_arena_bytes as f64,
-                false,
-            );
-            report.record("parallel_1w_gc_runs", parallel.gc_runs as f64, false);
-            report.record(
-                "parallel_1w_recycled_vars",
-                parallel.recycled_vars as f64,
-                false,
-            );
+            let sat = &parallel.solver_stats;
+            report.record("parallel_1w_arena_bytes", sat.arena_bytes as f64, false);
+            report.record("parallel_1w_gc_runs", sat.gc_runs as f64, false);
+            report.record("parallel_1w_recycled_vars", sat.recycled_vars as f64, false);
             // Search-effort counters of the modern CDCL core (tiered
             // reduction, EMA restarts, bounded variable elimination), from
             // the same deterministic single-worker drain: how many conflicts
@@ -182,7 +175,6 @@ fn measure() -> MetricReport {
             // Baseline-gated so a heuristic regression that silently blows
             // up search effort fails the smoke even when wall-clock noise
             // would hide it.
-            let sat = &parallel.solver_stats;
             report.record("parallel_1w_conflicts", sat.conflicts as f64, false);
             report.record("parallel_1w_propagations", sat.propagations as f64, false);
             report.record("parallel_1w_reductions", sat.reductions as f64, false);

@@ -9,19 +9,16 @@ use std::time::Duration;
 
 use fall::functional::Analysis;
 use fall_bench::{
-    format_fig5, AttackRecord, HdPolicy, LockCase, Runner, RunnerConfig, Scale, TABLE1_CIRCUITS,
+    format_fig5, AttackRecord, HdPolicy, LockCase, PaperFlags, Runner, RunnerConfig,
+    TABLE1_CIRCUITS,
 };
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = if args.iter().any(|a| a == "--full") {
-        Scale::Paper
-    } else {
-        Scale::Scaled
-    };
-    let skip_sat = args.iter().any(|a| a == "--skip-sat");
-    let limit = arg_value(&args, "--circuits").unwrap_or(6);
-    let timeout = Duration::from_secs_f64(arg_value(&args, "--timeout").unwrap_or(3) as f64);
+    let flags = PaperFlags::from_env(&["--full", "--circuits", "--timeout", "--skip-sat"]);
+    let scale = flags.scale();
+    let skip_sat = flags.skip_sat;
+    let limit = flags.circuits.unwrap_or(6);
+    let timeout = flags.timeout.unwrap_or(Duration::from_secs(3));
 
     let runner = Runner::new(RunnerConfig {
         time_limit: timeout,
@@ -59,11 +56,4 @@ fn main() {
         }
         println!("{}", format_fig5(policy.label(), &records));
     }
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

@@ -7,19 +7,15 @@
 use std::time::Duration;
 
 use fall_bench::{
-    fig6_rows, format_fig6, AttackRecord, HdPolicy, LockCase, Runner, RunnerConfig, Scale,
+    fig6_rows, format_fig6, AttackRecord, HdPolicy, LockCase, PaperFlags, Runner, RunnerConfig,
     TABLE1_CIRCUITS,
 };
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = if args.iter().any(|a| a == "--full") {
-        Scale::Paper
-    } else {
-        Scale::Scaled
-    };
-    let limit = arg_value(&args, "--circuits").unwrap_or(6);
-    let timeout = Duration::from_secs_f64(arg_value(&args, "--timeout").unwrap_or(3) as f64);
+    let flags = PaperFlags::from_env(&["--full", "--circuits", "--timeout"]);
+    let scale = flags.scale();
+    let limit = flags.circuits.unwrap_or(6);
+    let timeout = flags.timeout.unwrap_or(Duration::from_secs(3));
 
     let runner = Runner::new(RunnerConfig {
         time_limit: timeout,
@@ -46,11 +42,4 @@ fn main() {
     }
     println!("FIGURE 6: mean execution times (log-scale in the paper)");
     println!("{}", format_fig6(&fig6_rows(&records)));
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

@@ -8,19 +8,15 @@
 use std::time::Duration;
 
 use fall_bench::{
-    format_headline, headline, AttackRecord, HdPolicy, LockCase, Runner, RunnerConfig, Scale,
+    format_headline, headline, AttackRecord, HdPolicy, LockCase, PaperFlags, Runner, RunnerConfig,
     TABLE1_CIRCUITS,
 };
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = if args.iter().any(|a| a == "--full") {
-        Scale::Paper
-    } else {
-        Scale::Scaled
-    };
-    let limit = arg_value(&args, "--circuits").unwrap_or(TABLE1_CIRCUITS.len());
-    let timeout = Duration::from_secs_f64(arg_value(&args, "--timeout").unwrap_or(5) as f64);
+    let flags = PaperFlags::from_env(&["--full", "--circuits", "--timeout"]);
+    let scale = flags.scale();
+    let limit = flags.circuits.unwrap_or(TABLE1_CIRCUITS.len());
+    let timeout = flags.timeout.unwrap_or(Duration::from_secs(5));
 
     let runner = Runner::new(RunnerConfig {
         time_limit: timeout,
@@ -54,11 +50,4 @@ fn main() {
     }
     println!("SECTION VI-B headline numbers (scaled suite)");
     println!("{}", format_headline(&headline(&records)));
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

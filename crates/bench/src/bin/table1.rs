@@ -3,21 +3,12 @@
 //!
 //! Usage: `cargo run -p fall-bench --release --bin table1 [--full] [--circuits N]`
 
-use fall_bench::{format_table1, table1_rows, Scale, TABLE1_CIRCUITS};
+use fall_bench::{format_table1, table1_rows, PaperFlags, TABLE1_CIRCUITS};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = if args.iter().any(|a| a == "--full") {
-        Scale::Paper
-    } else {
-        Scale::Scaled
-    };
-    let limit = args
-        .iter()
-        .position(|a| a == "--circuits")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(TABLE1_CIRCUITS.len());
+    let flags = PaperFlags::from_env(&["--full", "--circuits"]);
+    let scale = flags.scale();
+    let limit = flags.circuits.unwrap_or(TABLE1_CIRCUITS.len());
 
     let specs = &TABLE1_CIRCUITS[..limit.min(TABLE1_CIRCUITS.len())];
     eprintln!(

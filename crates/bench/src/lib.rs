@@ -10,10 +10,9 @@
 //! * **§ VI-B headline numbers** — circuits defeated and unique-key rate
 //!   (`--bin summary`).
 //!
-//! Criterion benchmarks live in `benches/`; `incremental_vs_fresh` measures
-//! the persistent [`fall::session::AttackSession`] (one solver per attack,
-//! cached encodings) against the fresh-solver-per-query ablation baselines
-//! on the Figure 5 / Figure 6 workloads.
+//! All four binaries take their flags through [`PaperFlags`], which rejects
+//! unknown flags and unparsable values.  The `bench_smoke` binary gates the
+//! engine's deterministic counters against a checked-in baseline.
 //!
 //! The ISCAS'85/MCNC netlists used by the paper are not redistributable, so
 //! the suite substitutes seeded random circuits with the same interface sizes
@@ -23,10 +22,12 @@
 
 #![deny(missing_docs)]
 
+pub mod flags;
 pub mod report;
 pub mod runner;
 pub mod suite;
 
+pub use flags::PaperFlags;
 pub use report::{
     cactus_series, fig6_rows, format_fig5, format_fig6, format_headline, format_table1, headline,
     table1_rows, Headline, MetricReport, Regression, Table1Row,

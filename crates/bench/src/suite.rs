@@ -307,8 +307,7 @@ pub fn lock_grid(scale: Scale) -> Vec<LockCase> {
     cases
 }
 
-/// Builds the grid for a subset of circuits (used by the quick binaries and
-/// the criterion benches).
+/// Builds the grid for a subset of circuits.
 pub fn lock_grid_subset(scale: Scale, names: &[&str]) -> Vec<LockCase> {
     let mut cases = Vec::new();
     for spec in TABLE1_CIRCUITS.iter().filter(|s| names.contains(&s.name)) {

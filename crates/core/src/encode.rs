@@ -56,8 +56,10 @@ pub fn instantiate_sharing_inputs(
 }
 
 /// Instantiates a copy that reuses existing key literals but has fresh input
-/// literals (used to accumulate I/O constraints on one key vector).
-pub fn instantiate_sharing_keys(
+/// literals (used by the fresh-solver test references to accumulate I/O
+/// constraints on one key vector).
+#[cfg(test)]
+pub(crate) fn instantiate_sharing_keys(
     locked: &Netlist,
     solver: &mut Solver,
     keys: &[Lit],
@@ -78,7 +80,8 @@ pub fn instantiate_sharing_keys(
 /// # Panics
 ///
 /// Panics if the widths differ.
-pub fn constrain_equal_const(solver: &mut Solver, lits: &[Lit], values: &[bool]) {
+#[cfg(test)]
+pub(crate) fn constrain_equal_const(solver: &mut Solver, lits: &[Lit], values: &[bool]) {
     assert_eq!(lits.len(), values.len(), "width mismatch");
     for (&lit, &value) in lits.iter().zip(values) {
         solver.add_clause([if value { lit } else { !lit }]);

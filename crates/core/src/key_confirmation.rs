@@ -10,16 +10,11 @@
 use std::time::{Duration, Instant};
 
 use locking::Key;
-use netlist::cnf::encode_any_difference;
 use netlist::{Netlist, WideSim};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sat::{Lit, SolveResult, Solver};
 
-use crate::encode::{
-    assumptions_for, constrain_equal_const, instantiate, instantiate_sharing_inputs,
-    instantiate_sharing_keys, model_key, model_values,
-};
 use crate::oracle::Oracle;
 use crate::session::{AttackSession, KeyVector};
 
@@ -335,110 +330,6 @@ fn confirmation_loop(
     }
 }
 
-/// The pre-session key confirmation: two dedicated solvers and full
-/// re-encoding per query.
-///
-/// Kept as the ablation baseline for the `incremental_vs_fresh` benchmark
-/// and as a differential-testing reference; new code should use
-/// [`key_confirmation`].
-pub fn key_confirmation_fresh(
-    locked: &Netlist,
-    oracle: &dyn Oracle,
-    suspected_keys: &[Key],
-    config: &KeyConfirmationConfig,
-) -> KeyConfirmationResult {
-    assert!(!suspected_keys.is_empty(), "shortlist must not be empty");
-    assert_eq!(
-        oracle.num_inputs(),
-        locked.num_inputs(),
-        "oracle width does not match the locked circuit"
-    );
-    let start = Instant::now();
-
-    // P: produces candidate keys consistent with ϕ and the observed I/O pairs.
-    let mut p_solver = Solver::new();
-    p_solver.set_conflict_budget(config.conflict_budget);
-    let p_keys: Vec<Lit> = (0..locked.num_key_inputs())
-        .map(|_| Lit::positive(p_solver.new_var()))
-        .collect();
-    add_shortlist_phi(&mut p_solver, &p_keys, suspected_keys);
-
-    // Q: produces distinguishing inputs between K1 (assumed equal to the
-    // candidate) and any other key K2 consistent with the observed I/O pairs.
-    let mut q_solver = Solver::new();
-    q_solver.set_conflict_budget(config.conflict_budget);
-    let q_copy1 = instantiate(locked, &mut q_solver);
-    let q_copy2 = instantiate_sharing_inputs(locked, &mut q_solver, &q_copy1.inputs);
-    let diff = encode_any_difference(&mut q_solver, &q_copy1.outputs, &q_copy2.outputs);
-    q_solver.add_clause([diff]);
-
-    let mut iterations = 0usize;
-    let mut oracle_queries = 0usize;
-    let unfinished =
-        |key: Option<Key>, iterations, oracle_queries, elapsed| KeyConfirmationResult {
-            key,
-            completed: false,
-            iterations,
-            oracle_queries,
-            elapsed,
-        };
-
-    loop {
-        if iterations >= config.max_iterations
-            || config
-                .time_limit
-                .is_some_and(|limit| start.elapsed() >= limit)
-        {
-            return unfinished(None, iterations, oracle_queries, start.elapsed());
-        }
-
-        let candidate = match p_solver.solve() {
-            SolveResult::Unsat => {
-                return KeyConfirmationResult {
-                    key: None,
-                    completed: true,
-                    iterations,
-                    oracle_queries,
-                    elapsed: start.elapsed(),
-                };
-            }
-            SolveResult::Unknown => {
-                return unfinished(None, iterations, oracle_queries, start.elapsed())
-            }
-            SolveResult::Sat => model_key(&p_solver, &p_keys),
-        };
-
-        let assumptions = assumptions_for(&q_copy1.keys, candidate.bits());
-        match q_solver.solve_with(&assumptions) {
-            SolveResult::Unsat => {
-                return KeyConfirmationResult {
-                    key: Some(candidate),
-                    completed: true,
-                    iterations,
-                    oracle_queries,
-                    elapsed: start.elapsed(),
-                };
-            }
-            SolveResult::Unknown => {
-                return unfinished(None, iterations, oracle_queries, start.elapsed())
-            }
-            SolveResult::Sat => {}
-        }
-        iterations += 1;
-        let distinguishing_input = model_values(&q_solver, &q_copy1.inputs);
-        let observed_output = oracle.query(&distinguishing_input);
-        oracle_queries += 1;
-
-        let p_constrained = instantiate_sharing_keys(locked, &mut p_solver, &p_keys);
-        constrain_equal_const(&mut p_solver, &p_constrained.inputs, &distinguishing_input);
-        constrain_equal_const(&mut p_solver, &p_constrained.outputs, &observed_output);
-
-        let q_constrained = instantiate_sharing_keys(locked, &mut q_solver, &q_copy2.keys);
-        constrain_equal_const(&mut q_solver, &q_constrained.inputs, &distinguishing_input);
-        constrain_equal_const(&mut q_solver, &q_constrained.outputs, &observed_output);
-    }
-}
-
 /// Future-work extension from § VI-D: partitions the key space into
 /// `2^partition_bits` regions by fixing the first key bits and runs key
 /// confirmation on each region in turn, returning the first confirmed key.
@@ -510,9 +401,115 @@ pub fn partitioned_key_search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode::{
+        assumptions_for, constrain_equal_const, instantiate, instantiate_sharing_inputs,
+        instantiate_sharing_keys, model_key, model_values,
+    };
     use crate::oracle::SimOracle;
     use locking::{LockingScheme, SfllHd, TtLock, XorLock};
+    use netlist::cnf::encode_any_difference;
     use netlist::random::{generate, RandomCircuitSpec};
+
+    /// The pre-session key confirmation: two dedicated solvers and full
+    /// re-encoding per query, kept as the differential-testing reference for
+    /// [`key_confirmation`].
+    fn key_confirmation_fresh(
+        locked: &Netlist,
+        oracle: &dyn Oracle,
+        suspected_keys: &[Key],
+        config: &KeyConfirmationConfig,
+    ) -> KeyConfirmationResult {
+        assert!(!suspected_keys.is_empty(), "shortlist must not be empty");
+        assert_eq!(
+            oracle.num_inputs(),
+            locked.num_inputs(),
+            "oracle width does not match the locked circuit"
+        );
+        let start = Instant::now();
+
+        // P: produces candidate keys consistent with ϕ and the observed I/O pairs.
+        let mut p_solver = Solver::new();
+        p_solver.set_conflict_budget(config.conflict_budget);
+        let p_keys: Vec<Lit> = (0..locked.num_key_inputs())
+            .map(|_| Lit::positive(p_solver.new_var()))
+            .collect();
+        add_shortlist_phi(&mut p_solver, &p_keys, suspected_keys);
+
+        // Q: produces distinguishing inputs between K1 (assumed equal to the
+        // candidate) and any other key K2 consistent with the observed I/O pairs.
+        let mut q_solver = Solver::new();
+        q_solver.set_conflict_budget(config.conflict_budget);
+        let q_copy1 = instantiate(locked, &mut q_solver);
+        let q_copy2 = instantiate_sharing_inputs(locked, &mut q_solver, &q_copy1.inputs);
+        let diff = encode_any_difference(&mut q_solver, &q_copy1.outputs, &q_copy2.outputs);
+        q_solver.add_clause([diff]);
+
+        let mut iterations = 0usize;
+        let mut oracle_queries = 0usize;
+        let unfinished =
+            |key: Option<Key>, iterations, oracle_queries, elapsed| KeyConfirmationResult {
+                key,
+                completed: false,
+                iterations,
+                oracle_queries,
+                elapsed,
+            };
+
+        loop {
+            if iterations >= config.max_iterations
+                || config
+                    .time_limit
+                    .is_some_and(|limit| start.elapsed() >= limit)
+            {
+                return unfinished(None, iterations, oracle_queries, start.elapsed());
+            }
+
+            let candidate = match p_solver.solve() {
+                SolveResult::Unsat => {
+                    return KeyConfirmationResult {
+                        key: None,
+                        completed: true,
+                        iterations,
+                        oracle_queries,
+                        elapsed: start.elapsed(),
+                    };
+                }
+                SolveResult::Unknown => {
+                    return unfinished(None, iterations, oracle_queries, start.elapsed())
+                }
+                SolveResult::Sat => model_key(&p_solver, &p_keys),
+            };
+
+            let assumptions = assumptions_for(&q_copy1.keys, candidate.bits());
+            match q_solver.solve_with(&assumptions) {
+                SolveResult::Unsat => {
+                    return KeyConfirmationResult {
+                        key: Some(candidate),
+                        completed: true,
+                        iterations,
+                        oracle_queries,
+                        elapsed: start.elapsed(),
+                    };
+                }
+                SolveResult::Unknown => {
+                    return unfinished(None, iterations, oracle_queries, start.elapsed())
+                }
+                SolveResult::Sat => {}
+            }
+            iterations += 1;
+            let distinguishing_input = model_values(&q_solver, &q_copy1.inputs);
+            let observed_output = oracle.query(&distinguishing_input);
+            oracle_queries += 1;
+
+            let p_constrained = instantiate_sharing_keys(locked, &mut p_solver, &p_keys);
+            constrain_equal_const(&mut p_solver, &p_constrained.inputs, &distinguishing_input);
+            constrain_equal_const(&mut p_solver, &p_constrained.outputs, &observed_output);
+
+            let q_constrained = instantiate_sharing_keys(locked, &mut q_solver, &q_copy2.keys);
+            constrain_equal_const(&mut q_solver, &q_constrained.inputs, &distinguishing_input);
+            constrain_equal_const(&mut q_solver, &q_constrained.outputs, &observed_output);
+        }
+    }
 
     fn locked_sfll(h: usize) -> (netlist::Netlist, locking::LockedCircuit) {
         let original = generate(&RandomCircuitSpec::new("kc", 12, 3, 80));

@@ -84,9 +84,9 @@ pub use attack::{fall_attack, FallAttackConfig, FallAttackResult, FallStatus};
 pub use key_confirmation::{key_confirmation, KeyConfirmationConfig, KeyConfirmationResult};
 pub use oracle::{CountingOracle, Oracle, SimOracle};
 pub use parallel::{
-    drain_regions, parallel_partitioned_key_search, portfolio_sat_attack, AtomicRegionSource,
-    CachingOracle, CancelToken, ParallelSearchResult, PortfolioResult, RegionDrain,
-    RegionDrainOutcome, RegionSource,
+    drain_regions, parallel_partitioned_key_search, portfolio_sat_attack, CachingOracle,
+    CancelToken, ParallelSearchResult, PortfolioResult, RegionDrain, RegionDrainOutcome,
+    RegionSource,
 };
 pub use sat_attack::{sat_attack, SatAttackConfig, SatAttackResult, SatAttackStatus};
 pub use session::{AttackSession, KeyVector};

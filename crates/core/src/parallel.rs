@@ -220,9 +220,9 @@ impl Oracle for CachingOracle<'_> {
 ///
 /// [`drain_regions`] pulls region indices from one of these until it is
 /// exhausted, a key is found, or the run is cancelled.  The in-process
-/// engine uses [`AtomicRegionSource`] (a shared atomic counter); the
-/// multi-process farm in [`crate::dist`] implements the same trait over a
-/// wire protocol, so the region-draining worker loop is written exactly once.
+/// engine uses a shared atomic counter; the multi-process farm in
+/// [`crate::dist`] implements the same trait over a wire protocol, so the
+/// region-draining worker loop is written exactly once.
 pub trait RegionSource: Sync {
     /// The next region to search, or `None` when the queue is drained (or
     /// the run is over).  May block — a distributed source waits on the
@@ -246,14 +246,14 @@ pub trait RegionSource: Sync {
 /// The in-process [`RegionSource`]: a shared atomic counter over the dense
 /// region range `0..regions`.
 #[derive(Debug)]
-pub struct AtomicRegionSource {
+struct AtomicRegionSource {
     next: AtomicU64,
     regions: u64,
 }
 
 impl AtomicRegionSource {
     /// A source that deals out `0..regions` exactly once across all pullers.
-    pub fn new(regions: u64) -> AtomicRegionSource {
+    fn new(regions: u64) -> AtomicRegionSource {
         AtomicRegionSource {
             next: AtomicU64::new(0),
             regions,
@@ -392,17 +392,6 @@ pub struct ParallelSearchResult {
     /// (each worker primes its session once at thread start), however many
     /// regions it went on to search.
     pub cone_encodings_built: usize,
-    /// Clause-arena garbage collections summed across all worker solvers.
-    pub gc_runs: u64,
-    /// Per-generation Tseitin variables recycled, summed across all workers:
-    /// the counter that keeps a long-lived worker's variable space bounded
-    /// however many regions it searches.
-    pub recycled_vars: u64,
-    /// Largest end-of-run clause-arena size across the workers, in bytes.
-    pub peak_arena_bytes: u64,
-    /// Largest end-of-run wasted (tombstoned, not yet collected) byte count
-    /// across the workers.
-    pub peak_wasted_bytes: u64,
     /// End-of-run [`SolverStats`] absorbed across every worker session:
     /// conflicts/propagations, restarts by kind, reduction rounds, tier
     /// sizes, eliminated/resurrected variables, EMA snapshots — the full
@@ -449,10 +438,6 @@ pub fn parallel_partitioned_key_search(
         workers,
         sessions_created: 0,
         cone_encodings_built: 0,
-        gc_runs: 0,
-        recycled_vars: 0,
-        peak_arena_bytes: 0,
-        peak_wasted_bytes: 0,
         solver_stats: SolverStats::default(),
         elapsed: start.elapsed(),
     };
@@ -464,86 +449,65 @@ pub fn parallel_partitioned_key_search(
     let cache = CachingOracle::new(oracle);
     let cancel = CancelToken::new();
     let source = AtomicRegionSource::new(num_regions);
-    let winner: Mutex<Option<Key>> = Mutex::new(None);
-    let exhausted_budget = AtomicBool::new(false);
-    let iterations = AtomicUsize::new(0);
-    let regions_searched = AtomicUsize::new(0);
-    let sessions_created = AtomicUsize::new(0);
-    let cone_encodings_built = AtomicUsize::new(0);
-    let gc_runs = AtomicU64::new(0);
-    let recycled_vars = AtomicU64::new(0);
-    let peak_arena_bytes = AtomicU64::new(0);
-    let peak_wasted_bytes = AtomicU64::new(0);
-    let pool_stats: Mutex<SolverStats> = Mutex::new(SolverStats::default());
 
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // One session for this worker's whole lifetime, primed before
-                // the first region so the encoding counters are deterministic.
-                sessions_created.fetch_add(1, Ordering::Relaxed);
-                let mut session = AttackSession::new(locked);
-                session.set_interrupt(Some(cancel.as_flag()));
-                session.prime();
-                let drain = drain_regions(
-                    &mut session,
-                    &cache,
-                    &source,
-                    partition_bits,
-                    config,
-                    &cancel,
-                );
-                iterations.fetch_add(drain.iterations, Ordering::Relaxed);
-                regions_searched.fetch_add(drain.regions_searched, Ordering::Relaxed);
-                match drain.outcome {
-                    RegionDrainOutcome::Winner { key, .. } => {
-                        *winner.lock().expect("winner lock poisoned") = Some(key);
+    // Each worker returns what it did; the pool's totals are folded from
+    // those return values once every thread has joined.
+    let drains: Vec<(RegionDrain, u64, SolverStats)> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    // One session for this worker's whole lifetime, primed
+                    // before the first region so the encoding counters are
+                    // deterministic.
+                    let mut session = AttackSession::new(locked);
+                    session.set_interrupt(Some(cancel.as_flag()));
+                    session.prime();
+                    let drain = drain_regions(
+                        &mut session,
+                        &cache,
+                        &source,
+                        partition_bits,
+                        config,
+                        &cancel,
+                    );
+                    // A winner or (mirroring the serial search) a budget
+                    // exhaustion anywhere ends the whole run.
+                    if matches!(
+                        drain.outcome,
+                        RegionDrainOutcome::Winner { .. } | RegionDrainOutcome::Exhausted { .. }
+                    ) {
                         cancel.cancel();
                     }
-                    RegionDrainOutcome::Exhausted { .. } => {
-                        // Mirroring the serial search, a budget exhaustion
-                        // anywhere aborts the whole run as incomplete.
-                        exhausted_budget.store(true, Ordering::SeqCst);
-                        cancel.cancel();
-                    }
-                    RegionDrainOutcome::Drained | RegionDrainOutcome::Cancelled => {}
-                }
-                cone_encodings_built
-                    .fetch_add(session.cone_encodings_built() as usize, Ordering::Relaxed);
-                let stats = session.stats();
-                gc_runs.fetch_add(stats.gc_runs, Ordering::Relaxed);
-                recycled_vars.fetch_add(stats.recycled_vars, Ordering::Relaxed);
-                peak_arena_bytes.fetch_max(stats.arena_bytes, Ordering::Relaxed);
-                peak_wasted_bytes.fetch_max(stats.wasted_bytes, Ordering::Relaxed);
-                pool_stats
-                    .lock()
-                    .expect("pool stats lock poisoned")
-                    .absorb(&stats);
-            });
-        }
+                    (drain, session.cone_encodings_built(), session.stats())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("parallel search worker panicked"))
+            .collect()
     });
 
-    let key = winner.into_inner().expect("winner lock poisoned");
-    let searched = regions_searched.load(Ordering::Relaxed);
-    let completed = key.is_some()
-        || (!exhausted_budget.load(Ordering::SeqCst) && searched as u64 == num_regions);
-    ParallelSearchResult {
-        completed,
-        key,
-        iterations: iterations.load(Ordering::Relaxed),
-        oracle_queries: cache.unique_queries(),
-        cache_hits: cache.hits(),
-        regions_searched: searched,
-        workers,
-        sessions_created: sessions_created.load(Ordering::Relaxed),
-        cone_encodings_built: cone_encodings_built.load(Ordering::Relaxed),
-        gc_runs: gc_runs.load(Ordering::Relaxed),
-        recycled_vars: recycled_vars.load(Ordering::Relaxed),
-        peak_arena_bytes: peak_arena_bytes.load(Ordering::Relaxed),
-        peak_wasted_bytes: peak_wasted_bytes.load(Ordering::Relaxed),
-        solver_stats: pool_stats.into_inner().expect("pool stats lock poisoned"),
-        elapsed: start.elapsed(),
+    let mut result = empty(false);
+    let mut exhausted_budget = false;
+    for (drain, encodings, stats) in drains {
+        result.iterations += drain.iterations;
+        result.regions_searched += drain.regions_searched;
+        result.sessions_created += 1;
+        result.cone_encodings_built += encodings as usize;
+        result.solver_stats.absorb(&stats);
+        match drain.outcome {
+            RegionDrainOutcome::Winner { key, .. } => result.key = result.key.or(Some(key)),
+            RegionDrainOutcome::Exhausted { .. } => exhausted_budget = true,
+            RegionDrainOutcome::Drained | RegionDrainOutcome::Cancelled => {}
+        }
     }
+    result.completed = result.key.is_some()
+        || (!exhausted_budget && result.regions_searched as u64 == num_regions);
+    result.oracle_queries = cache.unique_queries();
+    result.cache_hits = cache.hits();
+    result.elapsed = start.elapsed();
+    result
 }
 
 /// The outcome of a [`portfolio_sat_attack`] run.
@@ -751,11 +715,11 @@ mod tests {
                 "each worker encodes the circuit exactly once"
             );
             assert!(
-                parallel.peak_arena_bytes > 0,
+                parallel.solver_stats.arena_bytes > 0,
                 "{workers} workers: arena footprint is reported"
             );
             assert!(
-                parallel.recycled_vars > 0,
+                parallel.solver_stats.recycled_vars > 0,
                 "{workers} workers: retired generations recycle their variables"
             );
         }

@@ -9,14 +9,9 @@
 use std::time::{Duration, Instant};
 
 use locking::Key;
-use netlist::cnf::encode_any_difference;
 use netlist::Netlist;
-use sat::{SolveResult, Solver};
+use sat::SolveResult;
 
-use crate::encode::{
-    constrain_equal_const, instantiate, instantiate_sharing_inputs, instantiate_sharing_keys,
-    model_key, model_values,
-};
 use crate::oracle::Oracle;
 use crate::session::AttackSession;
 
@@ -213,137 +208,136 @@ pub fn sat_attack_in(
     }
 }
 
-/// The pre-session SAT attack: fresh solvers and full re-encoding per query.
-///
-/// Kept as the ablation baseline for the `incremental_vs_fresh` benchmark
-/// and as a differential-testing reference for [`sat_attack`]; new code
-/// should use [`sat_attack`].
-///
-/// # Panics
-///
-/// Panics if the oracle input width differs from the locked circuit's.
-pub fn sat_attack_fresh(
-    locked: &Netlist,
-    oracle: &dyn Oracle,
-    config: &SatAttackConfig,
-) -> SatAttackResult {
-    assert_eq!(
-        oracle.num_inputs(),
-        locked.num_inputs(),
-        "oracle width does not match the locked circuit"
-    );
-    let start = Instant::now();
-
-    // Distinguishing-input solver: two copies sharing X, with differing outputs.
-    let mut dis_solver = Solver::new();
-    dis_solver.set_conflict_budget(config.conflict_budget);
-    let copy1 = instantiate(locked, &mut dis_solver);
-    let copy2 = instantiate_sharing_inputs(locked, &mut dis_solver, &copy1.inputs);
-    let diff = encode_any_difference(&mut dis_solver, &copy1.outputs, &copy2.outputs);
-    dis_solver.add_clause([diff]);
-
-    // Key solver: accumulates C(Xd, K, Yd) constraints for the final key.
-    let mut key_solver = Solver::new();
-    key_solver.set_conflict_budget(config.conflict_budget);
-    let key_copy = instantiate(locked, &mut key_solver);
-    let key_lits = key_copy.keys.clone();
-
-    let mut iterations = 0usize;
-    let mut oracle_queries = 0usize;
-
-    let timed_out = |start: &Instant| {
-        config
-            .time_limit
-            .is_some_and(|limit| start.elapsed() >= limit)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::encode::{
+        constrain_equal_const, instantiate, instantiate_sharing_inputs, instantiate_sharing_keys,
+        model_key, model_values,
     };
+    use crate::oracle::{CountingOracle, SimOracle};
+    use locking::{LockingScheme, SfllHd, XorLock};
+    use netlist::cnf::encode_any_difference;
+    use netlist::random::{generate, RandomCircuitSpec};
+    use netlist::sim::pattern_to_bits;
+    use sat::Solver;
 
-    loop {
-        if iterations >= config.max_iterations {
-            return SatAttackResult {
-                key: None,
-                status: SatAttackStatus::IterationLimit,
-                iterations,
-                oracle_queries,
-                elapsed: start.elapsed(),
-            };
-        }
-        if timed_out(&start) {
-            return SatAttackResult {
-                key: None,
-                status: SatAttackStatus::TimedOut,
-                iterations,
-                oracle_queries,
-                elapsed: start.elapsed(),
-            };
-        }
-        match dis_solver.solve() {
-            SolveResult::Unknown => {
+    /// The pre-session SAT attack: fresh solvers and full re-encoding per
+    /// query, kept as the differential-testing reference for [`sat_attack`].
+    fn sat_attack_fresh(
+        locked: &Netlist,
+        oracle: &dyn Oracle,
+        config: &SatAttackConfig,
+    ) -> SatAttackResult {
+        assert_eq!(
+            oracle.num_inputs(),
+            locked.num_inputs(),
+            "oracle width does not match the locked circuit"
+        );
+        let start = Instant::now();
+
+        // Distinguishing-input solver: two copies sharing X, with differing outputs.
+        let mut dis_solver = Solver::new();
+        dis_solver.set_conflict_budget(config.conflict_budget);
+        let copy1 = instantiate(locked, &mut dis_solver);
+        let copy2 = instantiate_sharing_inputs(locked, &mut dis_solver, &copy1.inputs);
+        let diff = encode_any_difference(&mut dis_solver, &copy1.outputs, &copy2.outputs);
+        dis_solver.add_clause([diff]);
+
+        // Key solver: accumulates C(Xd, K, Yd) constraints for the final key.
+        let mut key_solver = Solver::new();
+        key_solver.set_conflict_budget(config.conflict_budget);
+        let key_copy = instantiate(locked, &mut key_solver);
+        let key_lits = key_copy.keys.clone();
+
+        let mut iterations = 0usize;
+        let mut oracle_queries = 0usize;
+
+        let timed_out = |start: &Instant| {
+            config
+                .time_limit
+                .is_some_and(|limit| start.elapsed() >= limit)
+        };
+
+        loop {
+            if iterations >= config.max_iterations {
+                return SatAttackResult {
+                    key: None,
+                    status: SatAttackStatus::IterationLimit,
+                    iterations,
+                    oracle_queries,
+                    elapsed: start.elapsed(),
+                };
+            }
+            if timed_out(&start) {
                 return SatAttackResult {
                     key: None,
                     status: SatAttackStatus::TimedOut,
                     iterations,
                     oracle_queries,
                     elapsed: start.elapsed(),
-                }
+                };
             }
-            SolveResult::Unsat => break,
-            SolveResult::Sat => {}
+            match dis_solver.solve() {
+                SolveResult::Unknown => {
+                    return SatAttackResult {
+                        key: None,
+                        status: SatAttackStatus::TimedOut,
+                        iterations,
+                        oracle_queries,
+                        elapsed: start.elapsed(),
+                    }
+                }
+                SolveResult::Unsat => break,
+                SolveResult::Sat => {}
+            }
+            iterations += 1;
+            let distinguishing_input = model_values(&dis_solver, &copy1.inputs);
+            let observed_output = oracle.query(&distinguishing_input);
+            oracle_queries += 1;
+
+            // Constrain both key copies of the distinguishing solver and the key
+            // solver with the observed I/O behaviour.
+            for keys in [&copy1.keys, &copy2.keys] {
+                let constrained = instantiate_sharing_keys(locked, &mut dis_solver, keys);
+                constrain_equal_const(&mut dis_solver, &constrained.inputs, &distinguishing_input);
+                constrain_equal_const(&mut dis_solver, &constrained.outputs, &observed_output);
+            }
+            let key_constrained = instantiate_sharing_keys(locked, &mut key_solver, &key_lits);
+            constrain_equal_const(
+                &mut key_solver,
+                &key_constrained.inputs,
+                &distinguishing_input,
+            );
+            constrain_equal_const(&mut key_solver, &key_constrained.outputs, &observed_output);
         }
-        iterations += 1;
-        let distinguishing_input = model_values(&dis_solver, &copy1.inputs);
-        let observed_output = oracle.query(&distinguishing_input);
-        oracle_queries += 1;
 
-        // Constrain both key copies of the distinguishing solver and the key
-        // solver with the observed I/O behaviour.
-        for keys in [&copy1.keys, &copy2.keys] {
-            let constrained = instantiate_sharing_keys(locked, &mut dis_solver, keys);
-            constrain_equal_const(&mut dis_solver, &constrained.inputs, &distinguishing_input);
-            constrain_equal_const(&mut dis_solver, &constrained.outputs, &observed_output);
+        // No distinguishing input remains: any key satisfying the accumulated I/O
+        // constraints is functionally correct.
+        match key_solver.solve() {
+            SolveResult::Sat => SatAttackResult {
+                key: Some(model_key(&key_solver, &key_lits)),
+                status: SatAttackStatus::Success,
+                iterations,
+                oracle_queries,
+                elapsed: start.elapsed(),
+            },
+            SolveResult::Unsat => SatAttackResult {
+                key: None,
+                status: SatAttackStatus::Inconsistent,
+                iterations,
+                oracle_queries,
+                elapsed: start.elapsed(),
+            },
+            SolveResult::Unknown => SatAttackResult {
+                key: None,
+                status: SatAttackStatus::TimedOut,
+                iterations,
+                oracle_queries,
+                elapsed: start.elapsed(),
+            },
         }
-        let key_constrained = instantiate_sharing_keys(locked, &mut key_solver, &key_lits);
-        constrain_equal_const(
-            &mut key_solver,
-            &key_constrained.inputs,
-            &distinguishing_input,
-        );
-        constrain_equal_const(&mut key_solver, &key_constrained.outputs, &observed_output);
     }
-
-    // No distinguishing input remains: any key satisfying the accumulated I/O
-    // constraints is functionally correct.
-    match key_solver.solve() {
-        SolveResult::Sat => SatAttackResult {
-            key: Some(model_key(&key_solver, &key_lits)),
-            status: SatAttackStatus::Success,
-            iterations,
-            oracle_queries,
-            elapsed: start.elapsed(),
-        },
-        SolveResult::Unsat => SatAttackResult {
-            key: None,
-            status: SatAttackStatus::Inconsistent,
-            iterations,
-            oracle_queries,
-            elapsed: start.elapsed(),
-        },
-        SolveResult::Unknown => SatAttackResult {
-            key: None,
-            status: SatAttackStatus::TimedOut,
-            iterations,
-            oracle_queries,
-            elapsed: start.elapsed(),
-        },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::oracle::{CountingOracle, SimOracle};
-    use locking::{LockingScheme, SfllHd, XorLock};
-    use netlist::random::{generate, RandomCircuitSpec};
-    use netlist::sim::pattern_to_bits;
 
     #[test]
     fn breaks_random_xor_locking() {

@@ -7,9 +7,7 @@
 //! pairing between key bits and protected circuit inputs.
 
 use netlist::analysis::support_signature;
-use netlist::cnf::{encode_cones, PinBinding};
 use netlist::{Netlist, NodeId};
-use sat::{SolveResult, Solver};
 
 /// A comparator gate pairing a key input with a circuit input.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,30 +28,13 @@ pub struct Comparator {
 /// input, the gate's local function is evaluated on all four assignments of
 /// that pair; gates equivalent to XOR or XNOR are reported.
 ///
-/// This is the fast default.  [`find_comparators_sat`] performs the same
-/// check with SAT queries, matching the paper's implementation, and is used
-/// for the ablation benchmark.
+/// The paper checks the same equivalence with SAT queries; that method is
+/// kept only as a test reference, since both agree on every candidate gate.
 pub fn find_comparators(netlist: &Netlist) -> Vec<Comparator> {
     candidate_pairs(netlist)
         .into_iter()
         .filter_map(|(node, input, key)| {
             classify_by_simulation(netlist, node, input, key).map(|xnor| Comparator {
-                node,
-                input,
-                key,
-                xnor,
-            })
-        })
-        .collect()
-}
-
-/// Finds all comparator gates, using SAT-based functional equivalence checks
-/// (the method described in the paper).
-pub fn find_comparators_sat(netlist: &Netlist) -> Vec<Comparator> {
-    candidate_pairs(netlist)
-        .into_iter()
-        .filter_map(|(node, input, key)| {
-            classify_by_sat(netlist, node, input, key).map(|xnor| Comparator {
                 node,
                 input,
                 key,
@@ -109,66 +90,89 @@ fn classify_by_simulation(
     }
 }
 
-/// SAT-based variant of [`classify_by_simulation`]: checks validity of
-/// `cktfn(node) <=> input XOR key` (and the XNOR variant) with two
-/// unsatisfiability queries each.
-fn classify_by_sat(netlist: &Netlist, node: NodeId, input: NodeId, key: NodeId) -> Option<bool> {
-    let mut solver = Solver::new();
-    let enc = encode_cones(netlist, &mut solver, &[node], &PinBinding::default());
-    let node_lit = enc.lit(node);
-    let input_pos = netlist
-        .inputs()
-        .iter()
-        .position(|&i| i == input)
-        .expect("primary input");
-    let key_pos = netlist
-        .key_inputs()
-        .iter()
-        .position(|&k| k == key)
-        .expect("key input");
-    let x = enc.inputs[input_pos];
-    let k = enc.keys[key_pos];
-
-    // node <=> x XOR k is valid iff (node XOR (x XOR k)) is unsatisfiable.
-    let is_xor = {
-        let diff = xor3_lit(&mut solver, node_lit, x, k);
-        solver.solve_with(&[diff]) == SolveResult::Unsat
-    };
-    if is_xor {
-        return Some(false);
-    }
-    let is_xnor = {
-        let diff = xor3_lit(&mut solver, !node_lit, x, k);
-        solver.solve_with(&[diff]) == SolveResult::Unsat
-    };
-    if is_xnor {
-        return Some(true);
-    }
-    None
-}
-
-/// Returns a literal equivalent to `a XOR b XOR c`.
-fn xor3_lit(solver: &mut Solver, a: sat::Lit, b: sat::Lit, c: sat::Lit) -> sat::Lit {
-    let ab = xor2_lit(solver, a, b);
-    xor2_lit(solver, ab, c)
-}
-
-fn xor2_lit(solver: &mut Solver, a: sat::Lit, b: sat::Lit) -> sat::Lit {
-    let y = sat::Lit::positive(solver.new_var());
-    solver.add_clause([!a, !b, !y]);
-    solver.add_clause([a, b, !y]);
-    solver.add_clause([a, !b, y]);
-    solver.add_clause([!a, b, y]);
-    y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use locking::{LockingScheme, SfllHd, TtLock};
+    use netlist::cnf::{encode_cones, PinBinding};
     use netlist::random::{generate, RandomCircuitSpec};
     use netlist::strash::strash;
     use netlist::GateKind;
+    use sat::{SolveResult, Solver};
+
+    /// The paper's method: finds all comparator gates with SAT-based
+    /// functional equivalence checks.  [`find_comparators`] must agree with it.
+    fn find_comparators_sat(netlist: &Netlist) -> Vec<Comparator> {
+        candidate_pairs(netlist)
+            .into_iter()
+            .filter_map(|(node, input, key)| {
+                classify_by_sat(netlist, node, input, key).map(|xnor| Comparator {
+                    node,
+                    input,
+                    key,
+                    xnor,
+                })
+            })
+            .collect()
+    }
+
+    /// SAT-based variant of [`classify_by_simulation`]: checks validity of
+    /// `cktfn(node) <=> input XOR key` (and the XNOR variant) with two
+    /// unsatisfiability queries each.
+    fn classify_by_sat(
+        netlist: &Netlist,
+        node: NodeId,
+        input: NodeId,
+        key: NodeId,
+    ) -> Option<bool> {
+        let mut solver = Solver::new();
+        let enc = encode_cones(netlist, &mut solver, &[node], &PinBinding::default());
+        let node_lit = enc.lit(node);
+        let input_pos = netlist
+            .inputs()
+            .iter()
+            .position(|&i| i == input)
+            .expect("primary input");
+        let key_pos = netlist
+            .key_inputs()
+            .iter()
+            .position(|&k| k == key)
+            .expect("key input");
+        let x = enc.inputs[input_pos];
+        let k = enc.keys[key_pos];
+
+        // node <=> x XOR k is valid iff (node XOR (x XOR k)) is unsatisfiable.
+        let is_xor = {
+            let diff = xor3_lit(&mut solver, node_lit, x, k);
+            solver.solve_with(&[diff]) == SolveResult::Unsat
+        };
+        if is_xor {
+            return Some(false);
+        }
+        let is_xnor = {
+            let diff = xor3_lit(&mut solver, !node_lit, x, k);
+            solver.solve_with(&[diff]) == SolveResult::Unsat
+        };
+        if is_xnor {
+            return Some(true);
+        }
+        None
+    }
+
+    /// Returns a literal equivalent to `a XOR b XOR c`.
+    fn xor3_lit(solver: &mut Solver, a: sat::Lit, b: sat::Lit, c: sat::Lit) -> sat::Lit {
+        let ab = xor2_lit(solver, a, b);
+        xor2_lit(solver, ab, c)
+    }
+
+    fn xor2_lit(solver: &mut Solver, a: sat::Lit, b: sat::Lit) -> sat::Lit {
+        let y = sat::Lit::positive(solver.new_var());
+        solver.add_clause([!a, !b, !y]);
+        solver.add_clause([a, b, !y]);
+        solver.add_clause([a, !b, y]);
+        solver.add_clause([!a, b, y]);
+        y
+    }
 
     #[test]
     fn finds_explicit_xnor_comparators() {

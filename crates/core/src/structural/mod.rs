@@ -4,5 +4,5 @@
 mod comparators;
 mod support_match;
 
-pub use comparators::{find_comparators, find_comparators_sat, Comparator};
+pub use comparators::{find_comparators, Comparator};
 pub use support_match::{find_candidates, CandidateNodes};

@@ -266,7 +266,7 @@ pub fn connect_worker(addr: &str, options: WorkerOptions) -> Result<(), String> 
 
 /// Re-exec entry point for pipes-mode workers: call this at the **top** of
 /// `main` in every binary that spawns a [`Farm`] (the `fall-dist` binary,
-/// benches, test binaries).  When the process was started with
+/// `bench_smoke`, test binaries).  When the process was started with
 /// [`WORKER_SENTINEL`] as its first argument it runs the worker loop on
 /// stdin/stdout (or the `--connect` socket) and **exits**; otherwise it
 /// returns immediately.

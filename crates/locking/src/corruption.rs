@@ -3,8 +3,8 @@
 //! The defining property of SAT-resilient schemes (SARLock, Anti-SAT, TTLock,
 //! SFLL-HD0) is their *low* output corruption: a wrong key corrupts only a
 //! handful of input patterns, which is what starves the SAT attack of
-//! distinguishing inputs.  These helpers quantify that, and are used by the
-//! ablation benches.
+//! distinguishing inputs.  These helpers quantify that; the scheme-baseline
+//! tests check the resulting corruption ordering.
 
 use rand::Rng;
 use rand::SeedableRng;
